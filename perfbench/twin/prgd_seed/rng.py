@@ -1,0 +1,20 @@
+"""Seeded random-stream derivation shared by samplers and Monte Carlo loops."""
+
+from __future__ import annotations
+
+import numpy as np
+
+
+def derive_rng(seed: int, stream: int = 0) -> np.random.Generator:
+    """Return stream ``stream`` of the family rooted at ``seed``.
+
+    Stream k is PCG64 seeded with ``SeedSequence([seed, k])``. Distinct
+    streams are statistically independent, so chunked Monte Carlo work can
+    be partitioned across workers and still reproduce the single-threaded
+    result bit for bit.
+    """
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+    if stream < 0:
+        raise ValueError(f"stream index must be nonnegative, got {stream}")
+    return np.random.default_rng(np.random.SeedSequence([int(seed), int(stream)]))
