@@ -5,7 +5,6 @@ forms and Monte Carlo oracles."""
 from .accountant import (
     DeltaReport,
     PrivacySpec,
-    amplified_delta,
     delta_curve,
     overall_delta,
     per_step_delta,
@@ -13,7 +12,6 @@ from .accountant import (
 )
 from .geometry import (
     BallSpec,
-    NoiseSample,
     ball_volume,
     cap_volume,
     overlap_volume,
@@ -33,10 +31,8 @@ from .optimizer import (
 )
 from .rng import derive_rng
 from .special import (
-    BetaParams,
     ConvergenceError,
     beta,
-    log_gamma,
     reg_inc_beta,
     reg_inc_beta_derivative,
     series_delta_odd_d,
@@ -53,18 +49,15 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BallSpec",
-    "BetaParams",
     "ConvergenceError",
     "Dataset",
     "DeltaReport",
     "DivergenceError",
     "LossModel",
     "MCEstimate",
-    "NoiseSample",
     "PrivacySpec",
     "RunConfig",
     "RunTrace",
-    "amplified_delta",
     "ball_volume",
     "beta",
     "builtin_losses",
@@ -74,7 +67,6 @@ __all__ = [
     "derive_rng",
     "estimate_sensitivity",
     "grad_check",
-    "log_gamma",
     "mc_tv_distance",
     "overall_delta",
     "overlap_volume",

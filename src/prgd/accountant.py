@@ -10,9 +10,9 @@ scales this to δ/N per step, and T adaptive steps compose additively to
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .special import BetaParams, ConvergenceError, reg_inc_beta
+from .special import ConvergenceError, reg_inc_beta
 
 _BISECT_TOL = 1e-13
 _BISECT_MAX_ITER = 200
@@ -26,7 +26,8 @@ class PrivacySpec:
     between per-example gradients across neighbouring datasets. A
     nontrivial guarantee needs delta_x < 2·noise_radius; larger values are
     accepted and saturate at δ = 1 (disjoint noise balls are always
-    distinguishable).
+    distinguishable). ``noise_radius=0`` is the noiseless limit: δ = 0 when
+    delta_x = 0 and δ = 1 otherwise.
     """
 
     d: int
@@ -44,8 +45,8 @@ class PrivacySpec:
             raise ValueError(f"dataset_size must be a positive integer, got {self.dataset_size}")
         if int(self.steps) != self.steps or self.steps < 1:
             raise ValueError(f"steps must be a positive integer, got {self.steps}")
-        if not self.noise_radius > 0.0:
-            raise ValueError(f"noise_radius must be positive, got {self.noise_radius}")
+        if not self.noise_radius >= 0.0:
+            raise ValueError(f"noise_radius must be nonnegative, got {self.noise_radius}")
 
 
 @dataclass(frozen=True)
@@ -70,29 +71,26 @@ def per_step_delta(spec: PrivacySpec) -> float:
 
     Equals one minus the overlap fraction of two noise balls centred
     delta_x apart, i.e. I_{s²}(1/2, (d+1)/2) with s = delta_x/(2·radius),
-    or equivalently 1 - I_{1-s²}((d+1)/2, 1/2). Saturates at exactly 1
-    once the balls no longer overlap (s >= 1) and is exactly 0 at s = 0.
+    or equivalently 1 - I_{1-s²}((d+1)/2, 1/2). Exactly 0 at delta_x = 0,
+    and saturates at exactly 1 once the balls no longer overlap
+    (delta_x >= 2·radius, which covers every positive delta_x at radius 0).
     """
-    s = spec.delta_x / (2.0 * spec.noise_radius)
-    if s >= 1.0:
-        return 1.0
-    if s == 0.0:
+    if spec.delta_x == 0.0:
         return 0.0
+    if spec.delta_x >= 2.0 * spec.noise_radius:
+        return 1.0
+    s = spec.delta_x / (2.0 * spec.noise_radius)
     if spec.d == 1:
         # I_{s²}(1/2, 1) = s; the closed form keeps the one-dimensional
         # contract δ = Δx/(2R) exact instead of within continued-fraction noise
         return s
-    return reg_inc_beta(s * s, BetaParams(0.5, 0.5 * (spec.d + 1)))
+    return reg_inc_beta(s * s, 0.5, 0.5 * (spec.d + 1))
 
 
-def amplified_delta(spec: PrivacySpec) -> float:
-    """Per-step δ scaled by uniform single-record subsampling: δ/N."""
-    return per_step_delta(spec) / spec.dataset_size
-
-
-def overall_delta(spec: PrivacySpec) -> DeltaReport:
+def overall_delta(spec: PrivacySpec, provenance: str = "given") -> DeltaReport:
     """Full report including the T-step composed budget min(1, (T/N)·δ).
 
+    ``provenance`` says how ``spec.delta_x`` was obtained (see DeltaReport).
     The composed value is computed as δ·(T/N) so that T = N recovers the
     per-step δ exactly in floating point.
     """
@@ -104,6 +102,7 @@ def overall_delta(spec: PrivacySpec) -> DeltaReport:
         amplified_delta=amplified,
         overall_delta=min(1.0, raw),
         saturated=raw > 1.0,
+        sensitivity_provenance=provenance,
     )
 
 
@@ -174,8 +173,3 @@ def delta_curve(
         for dx in grid:
             rows.append((d, dx, per_step_delta(PrivacySpec(d, dx, 1, 1, radius))))
     return rows
-
-
-def with_provenance(report: DeltaReport, provenance: str) -> DeltaReport:
-    """Copy of ``report`` relabelled with the given sensitivity provenance."""
-    return replace(report, sensitivity_provenance=provenance)

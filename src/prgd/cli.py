@@ -13,6 +13,7 @@ threads without changing any output.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -20,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import accountant, optimizer, validation
+from . import accountant, validation
 from .accountant import PrivacySpec
 from .optimizer import DivergenceError, RunConfig, builtin_losses, prgd_run, synthesize_dataset
 
@@ -28,8 +29,12 @@ _TV_DIMS = (1, 2, 3, 5, 11, 21)
 _TV_DISTANCES = (0.2, 0.6, 1.0, 1.4, 1.8)
 _OVERLAP_GRID_POINTS = 100
 _SURFACE_CASES = ((2, 0.5), (2, 1.0), (3, 0.5), (3, 1.0))
+_GRADCHECK_CASES = (("least_squares", 3), ("scalar_factorization", 1), ("rank1_factorization", 3))
 _GRADCHECK_TOL = 1e-5
 _SURFACE_RATE_MIN = 0.9999
+_MAX_GRID_POINTS = 1_000_000  # curve grids past this are typos, not plots
+_DATA_FIELDS = {"n": int, "feature_dim": int, "label_noise": float, "seed": int}
+_RUN_FIELDS = {"step_size": float, "steps": int, "noise_radius": float, "seed": int}
 
 
 class ConfigError(Exception):
@@ -40,14 +45,11 @@ def _fmt(value: float) -> str:
     return format(float(value), ".12g")
 
 
-def _print_report(report, extra: dict | None = None) -> None:
+def _print_report(report) -> None:
     print(f"per_step_delta = {_fmt(report.per_step_delta)}")
     print(f"amplified_delta = {_fmt(report.amplified_delta)}")
     print(f"overall_delta = {_fmt(report.overall_delta)}")
     print(f"saturated = {'true' if report.saturated else 'false'}")
-    if extra:
-        for key, value in extra.items():
-            print(f"{key} = {value}")
 
 
 def cmd_account(args: argparse.Namespace) -> int:
@@ -83,7 +85,10 @@ def _parse_grid(text: str) -> list[float]:
         raise ConfigError(f"delta-x-range: {exc}") from None
     if step <= 0.0 or stop < start:
         raise ConfigError("delta-x-range needs stop >= start and step > 0")
-    count = int((stop - start) / step + 1e-9) + 1
+    points = (stop - start) / step + 1e-9
+    if not points < _MAX_GRID_POINTS:  # also rejects inf and nan
+        raise ConfigError(f"delta-x-range must give at most {_MAX_GRID_POINTS} points")
+    count = int(points) + 1
     # clamp guards accumulated rounding from pushing the last point past stop
     return [min(start + k * step, stop) for k in range(count)]
 
@@ -105,6 +110,19 @@ def _require(mapping: dict, key: str, where: str):
     return mapping[key]
 
 
+def _number(value, kind: type, where: str):
+    """``value`` as ``kind`` (int or float) if it is a finite JSON number,
+    integral when ``kind`` is int."""
+    try:
+        number = float(value) if type(value) in (int, float) else math.nan
+    except OverflowError:  # an integer too large for a float
+        number = math.inf
+    if not math.isfinite(number) or (kind is int and not number.is_integer()):
+        expected = "an integer" if kind is int else "a finite number"
+        raise ConfigError(f"{where} must be {expected}, got {value!r}")
+    return int(value) if kind is int else number
+
+
 def load_experiment_config(path: str) -> dict:
     """Parse and validate an experiment config file.
 
@@ -113,6 +131,8 @@ def load_experiment_config(path: str) -> dict:
     step_size/steps/noise_radius/seed and optional clip_norm,
     ``initial_w`` (list of parameter_dim floats), optional ``sensitivity``
     (caller-asserted gradient-space bound overriding the measured one).
+    Returns the config with every number converted to its field's type;
+    a value of the wrong type raises ConfigError.
     """
     try:
         raw = json.loads(Path(path).read_text())
@@ -125,47 +145,41 @@ def load_experiment_config(path: str) -> dict:
 
     losses = builtin_losses()
     loss = _require(raw, "loss", "")
-    if loss not in losses:
+    if not isinstance(loss, str) or loss not in losses:
         raise ConfigError(f"unknown loss {loss!r}; available: {', '.join(sorted(losses))}")
-    data = _require(raw, "data", "")
-    run = _require(raw, "run", "")
-    for key in ("n", "feature_dim", "label_noise", "seed"):
-        _require(data, key, "data")
-    for key in ("step_size", "steps", "noise_radius", "seed"):
-        _require(run, key, "run")
-    _require(raw, "initial_w", "")
-    if "sensitivity" in raw and not raw["sensitivity"] >= 0.0:
-        raise ConfigError("sensitivity must be nonnegative")
-    return raw
+    config = {"loss": loss}
+    for section, fields in (("data", _DATA_FIELDS), ("run", _RUN_FIELDS)):
+        entries = _require(raw, section, "")
+        if not isinstance(entries, dict):
+            raise ConfigError(f"{section} must be an object")
+        config[section] = {
+            key: _number(_require(entries, key, section), kind, f"{section}.{key}")
+            for key, kind in fields.items()
+        }
+    clip_norm = raw["run"].get("clip_norm")
+    config["run"]["clip_norm"] = None if clip_norm is None else _number(clip_norm, float, "run.clip_norm")
+    initial_w = _require(raw, "initial_w", "")
+    if not isinstance(initial_w, list):
+        raise ConfigError(f"initial_w must be a list of numbers, got {initial_w!r}")
+    config["initial_w"] = [_number(c, float, f"initial_w[{k}]") for k, c in enumerate(initial_w)]
+    if "sensitivity" in raw:
+        config["sensitivity"] = _number(raw["sensitivity"], float, "sensitivity")
+        if config["sensitivity"] < 0.0:
+            raise ConfigError("sensitivity must be nonnegative")
+    return config
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     config = load_experiment_config(args.config)
-    run_spec = dict(config["run"])
-    for field, flag in (
-        ("seed", args.seed),
-        ("steps", args.steps),
-        ("step_size", args.step_size),
-        ("noise_radius", args.noise_radius),
-    ):
-        if flag is not None:
-            run_spec[field] = flag
+    data_spec, run_spec = config["data"], config["run"]
+    for field in ("seed", "steps", "step_size", "noise_radius"):
+        if getattr(args, field) is not None:
+            run_spec[field] = getattr(args, field)
 
-    model = builtin_losses()[config["loss"]](int(config["data"]["feature_dim"]))
-    data = synthesize_dataset(
-        int(config["data"]["n"]),
-        int(config["data"]["feature_dim"]),
-        float(config["data"]["label_noise"]),
-        int(config["data"]["seed"]),
-    )
+    model = builtin_losses()[config["loss"]](data_spec["feature_dim"])
+    data = synthesize_dataset(**data_spec)
     try:
-        run_config = RunConfig(
-            step_size=float(run_spec["step_size"]),
-            steps=int(run_spec["steps"]),
-            noise_radius=float(run_spec["noise_radius"]),
-            clip_norm=(float(run_spec["clip_norm"]) if run_spec.get("clip_norm") is not None else None),
-            seed=int(run_spec["seed"]),
-        )
+        run_config = RunConfig(**run_spec)
     except ValueError as exc:
         raise ConfigError(f"run: {exc}") from None
     initial_w = np.asarray(config["initial_w"], dtype=float)
@@ -175,16 +189,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             f"{config['loss']!r}, got {initial_w.shape}"
         )
 
-    trace = prgd_run(data, model, run_config, initial_w)
-    if "sensitivity" in config:
-        sensitivity = float(config["sensitivity"])
-        report = optimizer.delta_report_for_run(
-            model.parameter_dim, sensitivity, len(data), run_config.steps,
-            run_config.noise_radius, "given",
-        )
-    else:
-        report = trace.report
-        sensitivity = trace.sensitivity
+    trace = prgd_run(data, model, run_config, initial_w, config.get("sensitivity"))
 
     trace_path = args.trace if args.trace is not None else str(Path(args.config).with_suffix(".trace"))
     Path(trace_path).write_text("\n".join(trace.serialize_lines()) + "\n")
@@ -193,97 +198,57 @@ def cmd_run(args: argparse.Namespace) -> int:
     print(f"trace = {trace_path}")
     print(f"final_loss = {_fmt(trace.final_loss)}")
     print(f"displacement = {_fmt(displacement)}")
-    print(f"sensitivity = {_fmt(sensitivity)}")
-    print(f"sensitivity_provenance = {report.sensitivity_provenance}")
-    _print_report(report)
+    print(f"sensitivity = {_fmt(trace.sensitivity)}")
+    print(f"sensitivity_provenance = {trace.report.sensitivity_provenance}")
+    _print_report(trace.report)
     return 0
 
 
-def _case_line(suite: str, label: str, analytic, estimate, err, passed: bool) -> bool:
-    status = "PASS" if passed else "FAIL"
-    print(
-        f"{suite} {label} analytic={_fmt(analytic)} estimate={_fmt(estimate)} "
-        f"err={_fmt(err)} {status}"
-    )
-    return passed
+def _suite_tv(samples: int, seed: int):
+    for case, (d, dx) in enumerate(itertools.product(_TV_DIMS, _TV_DISTANCES)):
+        analytic = accountant.per_step_delta(PrivacySpec(d, dx, 1, 1))
+        est = validation.mc_tv_distance(d, dx, 1.0, samples, seed + case)
+        # binomial error at the analytic proportion: stays positive even
+        # when the empirical count saturates and the plug-in error is 0
+        se = math.sqrt(analytic * (1.0 - analytic) / samples)
+        yield f"d={d} delta_x={dx}", analytic, est.value, se, abs(est.value - analytic) <= 3.0 * se
 
 
-def _suite_tv(samples: int, seed: int) -> bool:
-    all_pass = True
-    case = 0
-    for d in _TV_DIMS:
-        for dx in _TV_DISTANCES:
-            analytic = accountant.per_step_delta(PrivacySpec(d, dx, 1, 1))
-            est = validation.mc_tv_distance(d, dx, 1.0, samples, seed + case)
-            # binomial error at the analytic proportion: stays positive even
-            # when the empirical count saturates and the plug-in error is 0
-            se = math.sqrt(analytic * (1.0 - analytic) / samples)
-            passed = abs(est.value - analytic) <= 3.0 * se
-            all_pass &= _case_line("tv", f"d={d} delta_x={dx}", analytic, est.value, se, passed)
-            case += 1
-    return all_pass
-
-
-def _suite_overlap(samples: int, seed: int) -> bool:
+def _suite_overlap(samples: int, seed: int):
     del samples, seed  # deterministic suite
-    all_pass = True
-    grid = np.linspace(0.0, 2.0, _OVERLAP_GRID_POINTS)
     for d in (1, 2, 3):
-        for dx in grid:
+        for dx in np.linspace(0.0, 2.0, _OVERLAP_GRID_POINTS):
             analytic, closed = validation.closed_form_overlap_check(d, float(dx))
-            scale = max(abs(analytic), abs(closed), 1e-300)
-            rel = abs(analytic - closed) / scale
-            passed = rel <= 1e-10
-            all_pass &= _case_line("overlap", f"d={d} delta_x={dx:.6f}", analytic, closed, rel, passed)
-    return all_pass
+            rel = abs(analytic - closed) / max(abs(analytic), abs(closed), 1e-300)
+            yield f"d={d} delta_x={dx:.6f}", analytic, closed, rel, rel <= 1e-10
 
 
-def _suite_gradcheck(samples: int, seed: int) -> bool:
+def _suite_gradcheck(samples: int, seed: int):
     del samples
-    all_pass = True
     rng = np.random.default_rng(seed)
-    cases = [
-        ("least_squares", 3),
-        ("scalar_factorization", 1),
-        ("rank1_factorization", 3),
-    ]
-    for name, feature_dim in cases:
+    for name, feature_dim in _GRADCHECK_CASES:
         model = builtin_losses()[name](feature_dim)
         for k in range(5):
             w = rng.standard_normal(model.parameter_dim)
             x = rng.standard_normal(feature_dim)
             y = float(rng.standard_normal())
             deviation = validation.grad_check(model, w, (x, y), 1e-6)
-            passed = deviation <= _GRADCHECK_TOL
-            all_pass &= _case_line(
-                "gradcheck", f"loss={name} case={k}", 0.0, deviation, deviation, passed
-            )
-    return all_pass
+            yield f"loss={name} case={k}", 0.0, deviation, deviation, deviation <= _GRADCHECK_TOL
 
 
-def _suite_surface(samples: int, seed: int) -> bool:
-    all_pass = True
+def _suite_surface(samples: int, seed: int):
     for case, (d, dx) in enumerate(_SURFACE_CASES):
         est = validation.surface_noise_distinguisher(d, dx, samples, seed + case, "surface")
-        passed = est.value >= _SURFACE_RATE_MIN
-        all_pass &= _case_line(
-            "surface", f"d={d} delta_x={dx} noise=surface", 1.0, est.value, est.standard_error, passed
-        )
+        yield (f"d={d} delta_x={dx} noise=surface", 1.0, est.value, est.standard_error,
+               est.value >= _SURFACE_RATE_MIN)
         control = validation.surface_noise_distinguisher(d, dx, samples, seed + case, "ball")
         delta = accountant.per_step_delta(PrivacySpec(d, dx, 1, 1))
         expected = delta + 0.5 * (1.0 - delta)
-        passed = abs(control.value - expected) <= 3.0 * control.standard_error
-        all_pass &= _case_line(
-            "surface",
-            f"d={d} delta_x={dx} noise=ball",
-            expected,
-            control.value,
-            control.standard_error,
-            passed,
-        )
-    return all_pass
+        yield (f"d={d} delta_x={dx} noise=ball", expected, control.value, control.standard_error,
+               abs(control.value - expected) <= 3.0 * control.standard_error)
 
 
+# each suite yields (label, analytic, estimate, err, passed) per case
 _SUITES = {
     "tv": _suite_tv,
     "overlap": _suite_overlap,
@@ -296,7 +261,12 @@ def cmd_validate(args: argparse.Namespace) -> int:
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     all_pass = True
     for name in names:
-        all_pass &= _SUITES[name](args.samples, args.seed)
+        for label, analytic, estimate, err, passed in _SUITES[name](args.samples, args.seed):
+            print(
+                f"{name} {label} analytic={_fmt(analytic)} estimate={_fmt(estimate)} "
+                f"err={_fmt(err)} {'PASS' if passed else 'FAIL'}"
+            )
+            all_pass &= passed
     print("result = " + ("PASS" if all_pass else "FAIL"))
     return 0 if all_pass else 1
 
@@ -353,18 +323,12 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 def cli_entry() -> None:

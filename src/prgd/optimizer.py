@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .accountant import DeltaReport, PrivacySpec, overall_delta, with_provenance
+from .accountant import DeltaReport, PrivacySpec, overall_delta
 from .geometry import BallSpec, sample_ball
 from .rng import derive_rng
 
@@ -53,15 +53,6 @@ class Dataset:
             raise ValueError("a dataset needs at least one record")
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "labels", labels)
-
-    @classmethod
-    def from_records(cls, records: Iterable[tuple[Sequence[float], float]]) -> "Dataset":
-        pairs = list(records)
-        features = np.atleast_2d(np.asarray([x for x, _ in pairs], dtype=float))
-        labels = np.asarray([y for _, y in pairs], dtype=float)
-        if features.ndim == 2 and features.shape[0] == 1 and labels.shape[0] > 1:
-            features = features.T
-        return cls(features, labels)
 
     def __len__(self) -> int:
         return self.features.shape[0]
@@ -193,7 +184,11 @@ class RunTrace:
 
 
 def prgd_run(
-    data: Dataset, model: LossModel, config: RunConfig, initial_w: Sequence[float]
+    data: Dataset,
+    model: LossModel,
+    config: RunConfig,
+    initial_w: Sequence[float],
+    sensitivity: float | None = None,
 ) -> RunTrace:
     """Run ``config.steps`` perturbed stochastic gradient steps from initial_w.
 
@@ -203,9 +198,10 @@ def prgd_run(
     w ← w − η·(gradient + noise) is applied. Deterministic given
     ``config.seed``.
 
-    The attached report covers (d=parameter_dim, sensitivity, N, T, R) with
-    sensitivity 2·clip_norm when clipping is on (certified) and the
-    empirical pairwise bound over the visited iterates otherwise.
+    The attached report covers (d=parameter_dim, sensitivity, N, T, R). The
+    sensitivity is the caller's ``sensitivity`` when given, else 2·clip_norm
+    when clipping is on (certified), else the empirical pairwise bound over
+    the visited iterates.
 
     Raises DivergenceError with the offending iteration if a loss or
     gradient stops being finite.
@@ -255,13 +251,13 @@ def prgd_run(
     if not np.isfinite(final_loss):
         raise DivergenceError(total, "loss")
 
-    if config.clip_norm is not None:
-        sensitivity = 2.0 * config.clip_norm
-        provenance = "certified"
+    if sensitivity is not None:
+        provenance = "given"
+    elif config.clip_norm is not None:
+        sensitivity, provenance = 2.0 * config.clip_norm, "certified"
     else:
-        sensitivity = estimate_sensitivity(data, model, iterates)
-        provenance = "empirical"
-    report = delta_report_for_run(dim, sensitivity, n, total, config.noise_radius, provenance)
+        sensitivity, provenance = estimate_sensitivity(data, model, iterates), "empirical"
+    report = overall_delta(PrivacySpec(dim, sensitivity, n, total, config.noise_radius), provenance)
 
     return RunTrace(
         data_indices=data_indices,
@@ -275,53 +271,21 @@ def prgd_run(
     )
 
 
-def delta_report_for_run(
-    dim: int, sensitivity: float, n: int, steps: int, radius: float, provenance: str
-) -> DeltaReport:
-    """Privacy report for a run, covering the noiseless control case.
-
-    With a positive radius this is the accountant's composed budget; at
-    radius 0 it is the no-noise limit, where any positive gradient gap is
-    perfectly distinguishable (δ = 1) and a zero gap reveals nothing.
-    """
-    if radius > 0.0:
-        report = overall_delta(PrivacySpec(dim, sensitivity, n, steps, radius))
-    else:
-        per = 0.0 if sensitivity == 0.0 else 1.0
-        raw = per * (steps / n)
-        report = DeltaReport(per, per / n, min(1.0, raw), raw > 1.0)
-    return with_provenance(report, provenance)
-
-
 def estimate_sensitivity(
-    data: Dataset,
-    model: LossModel,
-    w_list: Iterable[Sequence[float]],
-    clip_norm: float | None = None,
+    data: Dataset, model: LossModel, w_list: Iterable[Sequence[float]]
 ) -> float:
     """Empirical gradient-space sensitivity over a list of probe points.
 
     Brute force: the largest pairwise distance between per-example
-    gradients, maximized over every probe point. With ``clip_norm`` set the
-    gradients are clipped first and the result is capped at the certified
-    bound 2·clip_norm. This is a measured bound, not a proof; it covers
-    only the probed points.
+    gradients, maximized over every probe point. This is a measured bound,
+    not a proof; it covers only the probed points.
     """
     probes = [np.asarray(w, dtype=float) for w in w_list]
     if not probes:
         raise ValueError("need at least one probe point")
     worst = 0.0
     for w in probes:
-        grads = model.gradient_table(w, data)
-        if clip_norm is not None:
-            norms = np.linalg.norm(grads, axis=1)
-            over = norms > clip_norm
-            if np.any(over):
-                grads = grads.copy()
-                grads[over] *= (clip_norm / norms[over])[:, np.newaxis]
-        worst = max(worst, _max_pairwise_distance(grads))
-    if clip_norm is not None:
-        worst = min(worst, 2.0 * clip_norm)
+        worst = max(worst, _max_pairwise_distance(model.gradient_table(w, data)))
     return worst
 
 

@@ -13,7 +13,6 @@ provided as independent cross-check routes for the accounting parameters
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 _CF_TOL = 1e-15  # successive-convergent agreement required of the Lentz loop
 _CF_MAX_ITER = 300
@@ -24,32 +23,11 @@ class ConvergenceError(ArithmeticError):
     """An iterative evaluation failed to reach the requested accuracy."""
 
 
-@dataclass(frozen=True)
-class BetaParams:
-    """Shape parameters of a beta distribution; both must be positive."""
-
-    a: float
-    b: float
-
-    def __post_init__(self) -> None:
-        if not (self.a > 0.0 and self.b > 0.0):
-            raise ValueError(
-                f"shape parameters must be positive, got a={self.a}, b={self.b}"
-            )
-
-
-def log_gamma(x: float) -> float:
-    """Natural logarithm of the gamma function for x > 0."""
-    if not x > 0.0:
-        raise ValueError(f"log_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
-
-
 def beta(a: float, b: float) -> float:
     """Beta function B(a, b) = Γ(a)Γ(b)/Γ(a+b), evaluated via log-gamma."""
     if not (a > 0.0 and b > 0.0):
         raise ValueError(f"beta requires positive arguments, got a={a}, b={b}")
-    return math.exp(log_gamma(a) + log_gamma(b) - log_gamma(a + b))
+    return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
 
 
 def _beta_cf(a: float, b: float, z: float) -> float:
@@ -92,16 +70,17 @@ def _beta_cf(a: float, b: float, z: float) -> float:
     )
 
 
-def reg_inc_beta(z: float, params: BetaParams) -> float:
-    """Regularized incomplete beta function I_z(a, b).
+def reg_inc_beta(z: float, a: float, b: float) -> float:
+    """Regularized incomplete beta function I_z(a, b) for shapes a, b > 0.
 
     Exactly 0 at z = 0 and 1 at z = 1, and satisfies the reflection
     identity I_z(a, b) = 1 - I_{1-z}(b, a): the region switch below makes
     both sides of that identity evaluate the same continued fraction.
     """
+    if not (a > 0.0 and b > 0.0):
+        raise ValueError(f"shape parameters must be positive, got a={a}, b={b}")
     if not 0.0 <= z <= 1.0:
         raise ValueError(f"z must lie in [0, 1], got {z}")
-    a, b = params.a, params.b
     if z == 0.0:
         return 0.0
     if z == 1.0:
@@ -109,7 +88,7 @@ def reg_inc_beta(z: float, params: BetaParams) -> float:
     log_front = (
         a * math.log(z)
         + b * math.log1p(-z)
-        - (log_gamma(a) + log_gamma(b) - log_gamma(a + b))
+        - (math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
     )
     front = math.exp(log_front)
     if z < (a + 1.0) / (a + b + 2.0):

@@ -19,7 +19,7 @@ from prgd.accountant import PrivacySpec, overall_delta, per_step_delta, radius_f
 from prgd.geometry import BallSpec, ball_volume, overlap_volume, sample_ball
 from prgd.optimizer import RunConfig, prgd_run, scalar_factorization, synthesize_dataset
 from prgd.rng import derive_rng
-from prgd.special import BetaParams, reg_inc_beta, reg_inc_beta_derivative, series_delta_odd_d
+from prgd.special import reg_inc_beta, reg_inc_beta_derivative, series_delta_odd_d
 from prgd.validation import mc_tv_distance, surface_noise_distinguisher
 
 
@@ -78,10 +78,10 @@ def test_criterion_04_series_matches_continued_fraction():
     started = time.time()
     worst = 0.0
     for d in range(1, 42, 2):
-        params = BetaParams(0.5, 0.5 * (d + 1))
+        params = (0.5, 0.5 * (d + 1))
         for dx in np.linspace(0.0, 2.0, 50):
             series = series_delta_odd_d(float(dx), d)
-            direct = reg_inc_beta((dx / 2.0) ** 2, params)
+            direct = reg_inc_beta((dx / 2.0) ** 2, *params)
             worst = max(worst, abs(series - direct))
     check(4, f"odd-d series vs continued fraction (worst {worst:.2e})", worst <= 1e-10, started, 5.0)
 
@@ -95,14 +95,14 @@ def test_criterion_05_derivative_is_positive_and_matches_finite_differences():
     worst = 0.0
     positive = True
     for d in range(1, 26):
-        params = BetaParams(0.5, 0.5 * (d + 1))
+        params = (0.5, 0.5 * (d + 1))
         for dx in np.linspace(0.0, 2.0, 40)[1:-1]:
             z = (dx / 2.0) ** 2
             if z - step <= 0.0 or z + step >= 1.0:
                 continue
             analytic = reg_inc_beta_derivative(float(z), d)
             positive &= analytic > 0.0
-            fd = (reg_inc_beta(z + step, params) - reg_inc_beta(z - step, params)) / (2.0 * step)
+            fd = (reg_inc_beta(z + step, *params) - reg_inc_beta(z - step, *params)) / (2.0 * step)
             worst = max(worst, abs(fd - analytic) / max(1.0, abs(analytic)))
     ok = positive and worst <= 1e-6
     check(5, f"derivative positive, FD deviation {worst:.2e}", ok, started, 5.0)

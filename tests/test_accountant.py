@@ -7,7 +7,6 @@ import pytest
 from prgd.accountant import (
     DeltaReport,
     PrivacySpec,
-    amplified_delta,
     delta_curve,
     overall_delta,
     per_step_delta,
@@ -27,7 +26,9 @@ class TestPrivacySpec:
         with pytest.raises(ValueError):
             PrivacySpec(1, 1.0, 1, 0)
         with pytest.raises(ValueError):
-            PrivacySpec(1, 1.0, 1, 1, 0.0)
+            PrivacySpec(1, 1.0, 1, 1, -0.5)
+        with pytest.raises(ValueError):
+            PrivacySpec(1, 1.0, 1, 1, float("nan"))
 
     def test_saturating_sensitivity_is_allowed(self):
         assert per_step_delta(PrivacySpec(2, 5.0, 1, 1)) == 1.0
@@ -99,13 +100,14 @@ class TestPerStepDelta:
 
 class TestAmplifiedDelta:
     def test_no_amplification_for_single_record(self):
-        assert amplified_delta(PrivacySpec(1, 1.0, 1, 1)) == 0.5
+        assert overall_delta(PrivacySpec(1, 1.0, 1, 1)).amplified_delta == 0.5
 
     def test_divides_by_dataset_size(self):
-        assert amplified_delta(PrivacySpec(1, 1.0, 100, 1)) == pytest.approx(0.005, abs=1e-18)
+        report = overall_delta(PrivacySpec(1, 1.0, 100, 1))
+        assert report.amplified_delta == pytest.approx(0.005, abs=1e-18)
 
     def test_zero_sensitivity(self):
-        assert amplified_delta(PrivacySpec(9, 0.0, 1000, 1)) == 0.0
+        assert overall_delta(PrivacySpec(9, 0.0, 1000, 1)).amplified_delta == 0.0
 
 
 class TestOverallDelta:
@@ -211,3 +213,29 @@ class TestDeltaReport:
     def test_provenance_default(self):
         report = DeltaReport(0.5, 0.05, 0.1, False)
         assert report.sensitivity_provenance == "given"
+        assert overall_delta(PrivacySpec(1, 1.0, 1, 1)).sensitivity_provenance == "given"
+
+    def test_provenance_is_carried(self):
+        spec = PrivacySpec(3, 1.0, 10, 5)
+        report = overall_delta(spec, "empirical")
+        assert report.sensitivity_provenance == "empirical"
+        assert report.per_step_delta == per_step_delta(spec)
+
+
+class TestNoiselessLimit:
+    """Radius 0: identical point masses reveal nothing, distinct ones everything."""
+
+    @pytest.mark.parametrize("d", [1, 2, 7])
+    def test_zero_gap_gives_zero(self, d):
+        spec = PrivacySpec(d, 0.0, 40, 2000, 0.0)
+        assert per_step_delta(spec) == 0.0
+        assert overall_delta(spec) == DeltaReport(0.0, 0.0, 0.0, False)
+
+    @pytest.mark.parametrize("delta_x", [1e-300, 0.5, 3.0])
+    def test_any_gap_gives_one(self, delta_x):
+        spec = PrivacySpec(2, delta_x, 40, 2000, 0.0)
+        assert per_step_delta(spec) == 1.0
+        report = overall_delta(spec, "empirical")
+        assert report == DeltaReport(1.0, 1.0 / 40, 1.0, True, "empirical")
+        unsaturated = overall_delta(PrivacySpec(2, delta_x, 40, 20, 0.0))
+        assert (unsaturated.overall_delta, unsaturated.saturated) == (0.5, False)

@@ -2,13 +2,17 @@
 validation, determinism, and the exit-code contract."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from prgd import cli
+from prgd import cli, optimizer
 from prgd.accountant import PrivacySpec, per_step_delta
 from prgd.optimizer import least_squares, synthesize_dataset
 
@@ -37,6 +41,14 @@ def write_config(path, **overrides):
     config.update(overrides)
     path.write_text(json.dumps(config))
     return config
+
+
+def set_field(config, path, value):
+    """Set the field at key path ``path`` (one key per nesting level)."""
+    *parents, key = path
+    for parent in parents:
+        config = config[parent]
+    config[key] = value
 
 
 class TestAccount:
@@ -140,6 +152,17 @@ class TestCurve:
             assert delta == pytest.approx(exact, rel=1e-11, abs=1e-12)
             assert format(delta, ".12g") == delta_str
 
+    @pytest.mark.parametrize("grid", ["0:2:1e-9", "0:inf:1", "0:1e308:1e-308", "nan:1:0.5"])
+    def test_oversized_grid_is_usage_error(self, tmp_path, capsys, grid):
+        """Rejected before any grid is built: 0:2:1e-9 would be 2·10⁹ floats."""
+        out_path = tmp_path / "x.csv"
+        code, _, err = run_cli(
+            ["curve", "--d-list", "1", "--delta-x-range", grid, "--output", str(out_path)], capsys
+        )
+        assert code == 2
+        assert f"at most {cli._MAX_GRID_POINTS} points" in err
+        assert not out_path.exists()
+
     def test_byte_identical_reruns(self, tmp_path, capsys):
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
         for path in paths:
@@ -149,6 +172,28 @@ class TestCurve:
                 capsys,
             )
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+_MISTYPED = [
+    (("sensitivity",), "1"),
+    (("sensitivity",), True),
+    (("sensitivity",), -1.0),
+    (("sensitivity",), float("nan")),
+    (("loss",), ["x"]),
+    (("data",), "x"),
+    (("run",), [1]),
+    (("run", "steps"), [2]),
+    (("run", "steps"), 2.7),
+    (("run", "seed"), True),
+    (("run", "step_size"), "0.1"),
+    (("run", "clip_norm"), "1"),
+    (("data", "n"), 30.5),
+    (("data", "feature_dim"), "1"),
+    (("data", "seed"), 1.5),
+    (("data", "label_noise"), [0.0]),
+    (("initial_w",), "00"),
+    (("initial_w",), [0.0, "a"]),
+]
 
 
 class TestRun:
@@ -213,6 +258,17 @@ class TestRun:
             per_step_delta(PrivacySpec(2, 0.5, 30, 200)), rel=1e-11
         )
 
+    def test_given_sensitivity_skips_the_scan(self, tmp_path, capsys, monkeypatch):
+        def no_scan(*args, **kwargs):
+            raise AssertionError("estimate_sensitivity must not run")
+
+        monkeypatch.setattr(optimizer, "estimate_sensitivity", no_scan)
+        config_path = tmp_path / "cfg.json"
+        write_config(config_path, sensitivity=0.5)
+        code, out, _ = run_cli(["run", str(config_path), "--trace", str(tmp_path / "t.trace")], capsys)
+        assert code == 0
+        assert parse_report(out)["sensitivity_provenance"] == "given"
+
     def test_flag_overrides_apply(self, tmp_path, capsys):
         config_path = tmp_path / "cfg.json"
         write_config(config_path)
@@ -255,6 +311,27 @@ class TestRun:
     def test_missing_config_file(self, tmp_path, capsys):
         code, _, err = run_cli(["run", str(tmp_path / "nope.json")], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("path,value", _MISTYPED, ids=[
+        f"{'.'.join(path)}={json.dumps(value)}" for path, value in _MISTYPED
+    ])
+    def test_mistyped_field_is_usage_error(self, tmp_path, capsys, path, value):
+        config_path = tmp_path / "cfg.json"
+        config = write_config(config_path)
+        set_field(config, path, value)
+        config_path.write_text(json.dumps(config))
+        code, out, err = run_cli(["run", str(config_path), "--trace", str(tmp_path / "t.trace")], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert ".".join(path) in err
+
+    def test_integral_float_is_an_integer(self, tmp_path, capsys):
+        config_path = tmp_path / "cfg.json"
+        write_config(config_path, run={"step_size": 0.01, "steps": 7.0, "noise_radius": 1.0, "seed": 5})
+        code, _, _ = run_cli(["run", str(config_path), "--trace", str(tmp_path / "t.trace")], capsys)
+        assert code == 0
+        assert len((tmp_path / "t.trace").read_text().splitlines()) == 7
 
     def test_divergence_exits_one_with_iteration(self, tmp_path, capsys):
         config_path = tmp_path / "cfg.json"
@@ -299,10 +376,55 @@ class TestValidateCommand:
         assert len(case_lines) == 8
 
     def test_failure_exits_one(self, capsys, monkeypatch):
-        monkeypatch.setitem(cli._SUITES, "overlap", lambda samples, seed: False)
+        monkeypatch.setitem(
+            cli._SUITES, "overlap", lambda samples, seed: [("case", 0.0, 1.0, 1.0, False)]
+        )
         code, out, _ = run_cli(["validate", "--suite", "overlap"], capsys)
         assert code == 1
         assert "result = FAIL" in out
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=8,
+)
+_CONFIG_PATHS = [
+    (), ("loss",), ("data",), ("run",), ("initial_w",), ("sensitivity",),
+    *(("data", key) for key in ("n", "feature_dim", "label_noise", "seed")),
+    *(("run", key) for key in ("step_size", "steps", "noise_radius", "seed", "clip_norm")),
+]
+
+
+class TestConfigLoaderProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(path=st.sampled_from(_CONFIG_PATHS), value=_JSON)
+    def test_arbitrary_json_in_any_field(self, tmp_path_factory, path, value):
+        """The loader returns a config or raises ConfigError, whatever JSON
+        value replaces any one field (or the whole document)."""
+        config_path = tmp_path_factory.mktemp("cfg") / "cfg.json"
+        config = write_config(config_path)
+        if path:
+            set_field(config, path, value)
+        else:
+            config = value
+        config_path.write_text(json.dumps(config))
+        try:
+            loaded = cli.load_experiment_config(str(config_path))
+        except cli.ConfigError:
+            return
+        assert isinstance(loaded, dict)
+        assert all(type(loaded["data"][k]) is int for k in ("n", "feature_dim", "seed"))
+        assert all(type(loaded["run"][k]) is int for k in ("steps", "seed"))
+
+
+def run_module(*args):
+    """``python -m prgd`` on the package these tests import, installed or not."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "prgd", *args], capture_output=True, env={**os.environ, "PYTHONPATH": path}
+    )
 
 
 class TestExitCodeContract:
@@ -310,28 +432,19 @@ class TestExitCodeContract:
     the validate failure path above)."""
 
     def test_usage_error_is_two(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "prgd", "validate", "--suite", "nonsense"],
-            capture_output=True,
-        )
+        proc = run_module("validate", "--suite", "nonsense")
         assert proc.returncode == 2
 
     def test_missing_subcommand_is_two(self):
-        proc = subprocess.run([sys.executable, "-m", "prgd"], capture_output=True)
+        proc = run_module()
         assert proc.returncode == 2
 
     def test_success_is_zero(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "prgd", "account", "--d", "1", "--delta-x", "1",
-             "--n", "10", "--t", "5"],
-            capture_output=True,
-        )
+        proc = run_module("account", "--d", "1", "--delta-x", "1", "--n", "10", "--t", "5")
         assert proc.returncode == 0
 
     def test_help_available_for_each_subcommand(self):
         for command in ("account", "curve", "run", "validate"):
-            proc = subprocess.run(
-                [sys.executable, "-m", "prgd", command, "--help"], capture_output=True
-            )
+            proc = run_module(command, "--help")
             assert proc.returncode == 0
             assert command.encode() in proc.stdout or b"usage" in proc.stdout

@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 
+from prgd import optimizer
+from prgd.accountant import PrivacySpec, overall_delta
 from prgd.optimizer import (
     Dataset,
     DivergenceError,
@@ -48,18 +50,6 @@ class TestDataset:
         with pytest.raises(ValueError):
             Dataset(np.zeros((0, 2)), np.zeros(0))
 
-    def test_from_records(self):
-        data = Dataset.from_records([([1.0, 2.0], 3.0), ([4.0, 5.0], 6.0)])
-        assert len(data) == 2
-        assert data.feature_dim == 2
-        x, y = data.record(1)
-        np.testing.assert_array_equal(x, [4.0, 5.0])
-        assert y == 6.0
-
-    def test_from_scalar_records(self):
-        data = Dataset.from_records([([0.0], 0.0), ([1.5], 1.0)])
-        assert data.features.shape == (2, 1)
-
 
 class TestBuiltinLosses:
     def test_catalog_contents(self):
@@ -85,7 +75,7 @@ class TestBuiltinLosses:
     def test_scalar_factorization_saddle_structure(self):
         """At the origin the gradient vanishes and the mean Hessian has
         eigenvalues ±(2/N)|Σxᵢyᵢ|, so the origin is a strict saddle."""
-        data = Dataset.from_records([([1.0], 0.25), ([0.5], 1.5)])
+        data = Dataset([[1.0], [0.5]], [0.25, 1.5])
         model = scalar_factorization(1)
         sum_xy = float(np.sum(data.features[:, 0] * data.labels))
         assert sum_xy == 1.0
@@ -213,6 +203,19 @@ class TestPrgdRun:
         assert trace.report.sensitivity_provenance == "empirical"
         assert trace.sensitivity == estimate_sensitivity(self.data, self.model, trace.iterates)
 
+    def test_given_sensitivity_replaces_the_scan(self, monkeypatch):
+        config = RunConfig(step_size=0.01, steps=50, noise_radius=0.1, seed=6)
+        reference = prgd_run(self.data, self.model, config, np.zeros(2))
+
+        def no_scan(*args, **kwargs):
+            raise AssertionError("estimate_sensitivity must not run")
+
+        monkeypatch.setattr(optimizer, "estimate_sensitivity", no_scan)
+        trace = prgd_run(self.data, self.model, config, np.zeros(2), sensitivity=0.5)
+        assert trace.serialize_lines() == reference.serialize_lines()
+        assert trace.sensitivity == 0.5
+        assert trace.report == overall_delta(PrivacySpec(2, 0.5, 15, 50, 0.1), "given")
+
     def test_sampling_uniformity(self):
         """Over 10⁶ steps with N=10, each record is drawn 10⁵ ± 3·√(10⁶·0.09)."""
         zero = LossModel(
@@ -284,11 +287,11 @@ class TestSerialization:
 
 class TestEstimateSensitivity:
     def test_single_record_has_no_pairs(self):
-        data = Dataset.from_records([([1.0], 2.0)])
+        data = Dataset([[1.0]], [2.0])
         assert estimate_sensitivity(data, least_squares(1), [np.zeros(1)]) == 0.0
 
     def test_duplicated_records(self):
-        data = Dataset.from_records([([1.0, 2.0], 3.0)] * 4)
+        data = Dataset([[1.0, 2.0]] * 4, [3.0] * 4)
         assert estimate_sensitivity(data, least_squares(2), [np.ones(2), np.zeros(2)]) == 0.0
 
     def test_linear_loss_sensitivity_is_feature_gap(self):
@@ -299,21 +302,25 @@ class TestEstimateSensitivity:
             lambda w, x, y: float(w @ x),
             lambda w, x, y: np.array(x, dtype=float),
         )
-        data = Dataset.from_records([([0.0], 0.0), ([1.5], 0.0)])
+        data = Dataset([[0.0], [1.5]], [0.0, 0.0])
         for w in ([0.0], [3.0], [-2.5]):
             assert estimate_sensitivity(data, linear, [np.array(w)]) == 1.5
 
     def test_clip_caps_the_bound(self):
+        """The unclipped scan sees the full gap 10; a clipped run is certified
+        at 2·clip_norm without scanning."""
         linear = LossModel(
             "linear", 1,
             lambda w, x, y: float(w @ x),
             lambda w, x, y: np.array(x, dtype=float),
         )
-        data = Dataset.from_records([([-5.0], 0.0), ([5.0], 0.0)])
+        data = Dataset([[-5.0], [5.0]], [0.0, 0.0])
         assert estimate_sensitivity(data, linear, [np.zeros(1)]) == 10.0
-        assert estimate_sensitivity(data, linear, [np.zeros(1)], clip_norm=1.0) <= 2.0
+        trace = prgd_run(data, linear, RunConfig(step_size=0.1, steps=3, clip_norm=1.0), [0.0])
+        assert trace.sensitivity == 2.0
+        assert trace.report.sensitivity_provenance == "certified"
 
     def test_requires_probes(self):
-        data = Dataset.from_records([([1.0], 2.0)])
+        data = Dataset([[1.0]], [2.0])
         with pytest.raises(ValueError):
             estimate_sensitivity(data, least_squares(1), [])
