@@ -33,6 +33,7 @@ _GRADCHECK_CASES = (("least_squares", 3), ("scalar_factorization", 1), ("rank1_f
 _GRADCHECK_TOL = 1e-5
 _SURFACE_RATE_MIN = 0.9999
 _MAX_GRID_POINTS = 1_000_000  # curve grids past this are typos, not plots
+_MAX_ARRAY_ELEMENTS = 100_000_000  # a run's trace or dataset past this needs gigabytes
 _DATA_FIELDS = {"n": int, "feature_dim": int, "label_noise": float, "seed": int}
 _RUN_FIELDS = {"step_size": float, "steps": int, "noise_radius": float, "seed": int}
 
@@ -177,6 +178,12 @@ def cmd_run(args: argparse.Namespace) -> int:
             run_spec[field] = getattr(args, field)
 
     model = builtin_losses()[config["loss"]](data_spec["feature_dim"])
+    for what, elements in (
+        ("data.n * data.feature_dim", data_spec["n"] * data_spec["feature_dim"]),
+        ("(run.steps + 1) * parameter_dim", (run_spec["steps"] + 1) * model.parameter_dim),
+    ):
+        if elements > _MAX_ARRAY_ELEMENTS:
+            raise ConfigError(f"{what} = {elements} exceeds the limit of {_MAX_ARRAY_ELEMENTS} elements")
     data = synthesize_dataset(**data_spec)
     try:
         run_config = RunConfig(**run_spec)

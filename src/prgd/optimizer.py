@@ -20,10 +20,6 @@ from .accountant import DeltaReport, PrivacySpec, overall_delta
 from .geometry import BallSpec, sample_ball
 from .rng import derive_rng
 
-PerExampleValue = Callable[[np.ndarray, np.ndarray, float], float]
-PerExampleGradient = Callable[[np.ndarray, np.ndarray, float], np.ndarray]
-BatchFn = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
-
 
 class DivergenceError(RuntimeError):
     """A loss or gradient became non-finite during a run."""
@@ -61,45 +57,30 @@ class Dataset:
     def feature_dim(self) -> int:
         return self.features.shape[1]
 
-    def record(self, i: int) -> tuple[np.ndarray, float]:
-        return self.features[i], float(self.labels[i])
-
 
 @dataclass(frozen=True)
 class LossModel:
     """A per-example loss with its gradient in parameter space.
 
-    ``per_example_value(w, x, y)`` and ``per_example_gradient(w, x, y)``
-    operate on a single record. The optional vectorized ``batch_value`` /
-    ``batch_gradient`` take (w, features, labels) and return per-record
-    arrays; they are used for full-data losses and sensitivity scans when
-    present. The gradient must match the value under finite differences
-    (see validation.grad_check).
+    For k records, features (k, feature_dim) and labels (k,),
+    ``value(w, features, labels)`` returns the k losses at w, shape (k,),
+    and ``gradient(w, features, labels)`` their gradients, shape
+    (k, parameter_dim). The loop calls them on one-row slices. The gradient
+    must match the value under finite differences (see validation.grad_check).
     """
 
     name: str
     parameter_dim: int
-    per_example_value: PerExampleValue
-    per_example_gradient: PerExampleGradient
-    batch_value: BatchFn | None = None
-    batch_gradient: BatchFn | None = None
+    value: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+    gradient: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
     def mean_loss(self, w: np.ndarray, data: Dataset) -> float:
         """Full-data loss: the mean per-example value at w."""
-        if self.batch_value is not None:
-            return float(np.mean(self.batch_value(w, data.features, data.labels)))
-        return float(
-            np.mean([self.per_example_value(w, *data.record(i)) for i in range(len(data))])
-        )
+        return float(np.mean(self.value(w, data.features, data.labels)))
 
     def gradient_table(self, w: np.ndarray, data: Dataset) -> np.ndarray:
         """(n, parameter_dim) matrix of per-example gradients at w."""
-        if self.batch_gradient is not None:
-            return np.asarray(self.batch_gradient(w, data.features, data.labels), dtype=float)
-        return np.asarray(
-            [self.per_example_gradient(w, *data.record(i)) for i in range(len(data))],
-            dtype=float,
-        )
+        return np.asarray(self.gradient(w, data.features, data.labels), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -225,8 +206,7 @@ def prgd_run(
 
     for t in range(total):
         idx = int(rng.integers(n))
-        x, y = data.record(idx)
-        grad = np.asarray(model.per_example_gradient(w, x, y), dtype=float)
+        grad = model.gradient(w, data.features[idx:idx + 1], data.labels[idx:idx + 1])[0]
         if not np.all(np.isfinite(grad)):
             raise DivergenceError(t, "gradient")
         if config.clip_norm is not None:
@@ -290,6 +270,9 @@ def estimate_sensitivity(
 
 
 def _max_pairwise_distance(rows: np.ndarray) -> float:
+    # centring on one row keeps ‖a‖² + ‖b‖² − 2a·b from cancelling away a
+    # small gap between large rows; distances are shift-invariant
+    rows = rows - rows[0]
     sq = np.einsum("ij,ij->i", rows, rows)
     d2 = sq[:, np.newaxis] + sq[np.newaxis, :] - 2.0 * (rows @ rows.T)
     return float(np.sqrt(max(float(d2.max()), 0.0)))
@@ -304,21 +287,14 @@ def least_squares(feature_dim: int) -> LossModel:
     if feature_dim < 1:
         raise ValueError(f"feature_dim must be positive, got {feature_dim}")
 
-    def value(w, x, y):
-        r = y - w @ x
-        return r * r
-
-    def gradient(w, x, y):
-        return -2.0 * (y - w @ x) * x
-
-    def batch_value(w, features, labels):
+    def value(w, features, labels):
         r = labels - features @ w
         return r * r
 
-    def batch_gradient(w, features, labels):
+    def gradient(w, features, labels):
         return -2.0 * (labels - features @ w)[:, np.newaxis] * features
 
-    return LossModel("least_squares", int(feature_dim), value, gradient, batch_value, batch_gradient)
+    return LossModel("least_squares", int(feature_dim), value, gradient)
 
 
 def scalar_factorization(feature_dim: int = 1) -> LossModel:
@@ -331,25 +307,16 @@ def scalar_factorization(feature_dim: int = 1) -> LossModel:
     if feature_dim != 1:
         raise ValueError("scalar_factorization requires scalar features (feature_dim=1)")
 
-    def value(w, x, y):
-        r = y - w[0] * w[1] * x[0]
-        return r * r
-
-    def gradient(w, x, y):
-        u, v = float(w[0]), float(w[1])
-        r = y - u * v * x[0]
-        return np.array([-2.0 * r * v * x[0], -2.0 * r * u * x[0]])
-
-    def batch_value(w, features, labels):
+    def value(w, features, labels):
         r = labels - w[0] * w[1] * features[:, 0]
         return r * r
 
-    def batch_gradient(w, features, labels):
-        x = features[:, 0]
-        r = labels - w[0] * w[1] * x
-        return np.stack([-2.0 * r * w[1] * x, -2.0 * r * w[0] * x], axis=1)
+    def gradient(w, features, labels):
+        r = labels - w[0] * w[1] * features[:, 0]
+        # row i is (−2rᵢ·v·xᵢ, −2rᵢ·u·xᵢ), multiplied left to right
+        return (-2.0 * r)[:, np.newaxis] * w[::-1] * features
 
-    return LossModel("scalar_factorization", 2, value, gradient, batch_value, batch_gradient)
+    return LossModel("scalar_factorization", 2, value, gradient)
 
 
 def rank1_factorization(feature_dim: int) -> LossModel:
@@ -362,27 +329,18 @@ def rank1_factorization(feature_dim: int) -> LossModel:
     if feature_dim < 1:
         raise ValueError(f"feature_dim must be positive, got {feature_dim}")
 
-    def value(w, x, y):
-        xw = x @ w
-        xx = x @ x
-        ww = w @ w
-        return y * y * xx * xx - 2.0 * y * xw * xw + ww * ww
-
-    def gradient(w, x, y):
-        return 4.0 * ((w @ w) * w - y * (x @ w) * x)
-
-    def batch_value(w, features, labels):
+    def value(w, features, labels):
         xw = features @ w
         xx = np.einsum("ij,ij->i", features, features)
         ww = w @ w
         return labels * labels * xx * xx - 2.0 * labels * xw * xw + ww * ww
 
-    def batch_gradient(w, features, labels):
+    def gradient(w, features, labels):
         xw = features @ w
         ww = w @ w
         return 4.0 * (ww * w[np.newaxis, :] - (labels * xw)[:, np.newaxis] * features)
 
-    return LossModel("rank1_factorization", int(feature_dim), value, gradient, batch_value, batch_gradient)
+    return LossModel("rank1_factorization", int(feature_dim), value, gradient)
 
 
 def builtin_losses() -> dict[str, Callable[[int], LossModel]]:

@@ -151,7 +151,8 @@ def grad_check(
     record: tuple[np.ndarray, float],
     step: float,
 ) -> float:
-    """Componentwise central-difference check of the per-example gradient.
+    """Componentwise central-difference check of the gradient at one record,
+    evaluated as a one-row batch.
 
     Returns the maximum deviation |fd_k − g_k| / max(1, |g_k|); the unit
     floor keeps the measure finite at stationary points where the exact
@@ -160,16 +161,17 @@ def grad_check(
     if not 0.0 < step <= 1e-3:
         raise ValueError(f"step must lie in (0, 1e-3], got {step}")
     x, y = record
-    x = np.asarray(x, dtype=float)
+    features = np.asarray(x, dtype=float)[np.newaxis, :]
+    labels = np.array([y], dtype=float)
     w = np.asarray(w, dtype=float)
-    grad = np.asarray(model.per_example_gradient(w, x, y), dtype=float)
+    grad = np.asarray(model.gradient(w, features, labels), dtype=float)[0]
     worst = 0.0
     for k in range(w.size):
         offset = np.zeros_like(w)
         offset[k] = step
         fd = (
-            model.per_example_value(w + offset, x, y)
-            - model.per_example_value(w - offset, x, y)
+            model.value(w + offset, features, labels)[0]
+            - model.value(w - offset, features, labels)[0]
         ) / (2.0 * step)
         worst = max(worst, abs(fd - grad[k]) / max(1.0, abs(grad[k])))
     return worst

@@ -326,6 +326,30 @@ class TestRun:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert ".".join(path) in err
 
+    @pytest.mark.parametrize("path,value,flags", [
+        (("run", "steps"), 576460752303423488, []),
+        (("run", "steps"), 100_000_000, []),
+        (("run", "steps"), 200, ["--steps", "576460752303423488"]),
+        (("data", "n"), 100_000_001, []),
+        (("data", "feature_dim"), 10**18, []),
+    ], ids=["steps", "steps-just-over", "steps-flag", "n", "feature_dim"])
+    def test_oversized_run_is_usage_error(self, tmp_path, capsys, monkeypatch, path, value, flags):
+        """Sizes past the element limit are rejected before anything is allocated."""
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("nothing may be allocated for an oversized run")
+
+        monkeypatch.setattr(cli, "synthesize_dataset", no_allocation)
+        monkeypatch.setattr(cli, "prgd_run", no_allocation)
+        config_path = tmp_path / "cfg.json"
+        config = write_config(config_path, loss="least_squares", initial_w=[0.0])
+        set_field(config, path, value)
+        config_path.write_text(json.dumps(config))
+        code, out, err = run_cli(["run", str(config_path), *flags], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert ".".join(path) in err
+
     def test_integral_float_is_an_integer(self, tmp_path, capsys):
         config_path = tmp_path / "cfg.json"
         write_config(config_path, run={"step_size": 0.01, "steps": 7.0, "noise_radius": 1.0, "seed": 5})

@@ -23,6 +23,15 @@ from prgd.optimizer import (
 )
 
 
+def linear_loss(dim):
+    """ℓ(w; x, y) = w·x, whose gradient is the record's features x."""
+    return LossModel(
+        "linear", dim,
+        lambda w, features, labels: features @ w,
+        lambda w, features, labels: features,
+    )
+
+
 def numeric_hessian(fn, w, h=1e-5):
     """Central-difference Hessian of a scalar function of a vector."""
     dim = len(w)
@@ -90,8 +99,8 @@ class TestBuiltinLosses:
     def test_scalar_factorization_zero_residual(self):
         """Record (x=1, y=1) at w=(1,1) has zero residual, hence zero gradient."""
         model = scalar_factorization(1)
-        grad = model.per_example_gradient(np.array([1.0, 1.0]), np.array([1.0]), 1.0)
-        np.testing.assert_array_equal(grad, np.zeros(2))
+        grad = model.gradient(np.array([1.0, 1.0]), np.array([[1.0]]), np.array([1.0]))
+        np.testing.assert_array_equal(grad, np.zeros((1, 2)))
 
     def test_rank1_factorization_against_frobenius_oracle(self):
         """Expanded loss equals the direct ‖y·xxᵀ − wwᵀ‖²_F computation."""
@@ -102,7 +111,8 @@ class TestBuiltinLosses:
             x = rng.standard_normal(3)
             y = float(rng.standard_normal())
             direct = float(np.sum((y * np.outer(x, x) - np.outer(w, w)) ** 2))
-            assert model.per_example_value(w, x, y) == pytest.approx(direct, rel=1e-10, abs=1e-10)
+            value = model.value(w, x[np.newaxis, :], np.array([y]))[0]
+            assert value == pytest.approx(direct, rel=1e-10, abs=1e-10)
 
     def test_rank1_factorization_saddle_at_origin(self):
         data = synthesize_dataset(10, 3, 0.0, 2)
@@ -110,18 +120,42 @@ class TestBuiltinLosses:
         grads = model.gradient_table(np.zeros(3), data)
         np.testing.assert_array_equal(grads, np.zeros((10, 3)))
 
-    def test_batch_functions_match_per_example(self):
+    DIRECT_VALUES = {
+        "least_squares": lambda w, x, y: (y - sum(wk * xk for wk, xk in zip(w, x))) ** 2,
+        "scalar_factorization": lambda w, x, y: (y - w[0] * w[1] * x[0]) ** 2,
+        "rank1_factorization": lambda w, x, y: float(np.sum((y * np.outer(x, x) - np.outer(w, w)) ** 2)),
+    }
+    CASES = (("least_squares", 4), ("scalar_factorization", 1), ("rank1_factorization", 2))
+
+    def test_values_match_direct_formulas(self):
+        """Row i of value(w, features, labels) is the loss of record i."""
         rng = np.random.default_rng(15)
-        for name, dim in (("least_squares", 4), ("scalar_factorization", 1), ("rank1_factorization", 2)):
+        for name, dim in self.CASES:
             model = builtin_losses()[name](dim)
             data = synthesize_dataset(12, dim, 0.3, 7)
             w = rng.standard_normal(model.parameter_dim)
-            values = model.batch_value(w, data.features, data.labels)
-            grads = model.batch_gradient(w, data.features, data.labels)
+            values = model.value(w, data.features, data.labels)
+            assert values.shape == (len(data),)
             for i in range(len(data)):
-                x, y = data.record(i)
-                assert values[i] == pytest.approx(model.per_example_value(w, x, y), rel=1e-12, abs=1e-12)
-                np.testing.assert_allclose(grads[i], model.per_example_gradient(w, x, y), rtol=1e-12, atol=1e-12)
+                direct = self.DIRECT_VALUES[name](w, data.features[i], data.labels[i])
+                assert values[i] == pytest.approx(direct, rel=1e-12, abs=1e-12)
+
+    def test_gradients_match_central_differences(self):
+        """Row i of gradient(w, features, labels) is the derivative of row i
+        of the value."""
+        rng = np.random.default_rng(16)
+        h = 1e-5
+        for name, dim in self.CASES:
+            model = builtin_losses()[name](dim)
+            data = synthesize_dataset(12, dim, 0.3, 8)
+            w = rng.standard_normal(model.parameter_dim)
+            grads = model.gradient(w, data.features, data.labels)
+            assert grads.shape == (len(data), model.parameter_dim)
+            for k in range(model.parameter_dim):
+                step = h * np.eye(model.parameter_dim)[k]
+                fd = (model.value(w + step, data.features, data.labels)
+                      - model.value(w - step, data.features, data.labels)) / (2.0 * h)
+                np.testing.assert_allclose(grads[:, k], fd, rtol=1e-6, atol=1e-6)
 
 
 class TestRunConfig:
@@ -152,8 +186,9 @@ class TestPrgdRun:
         w0 = np.array([0.2, -0.4])
         trace = prgd_run(self.data, self.model, config, w0)
         assert trace.steps == 1
-        x, y = self.data.record(int(trace.data_indices[0]))
-        np.testing.assert_array_equal(trace.gradients[0], self.model.per_example_gradient(w0, x, y))
+        i = int(trace.data_indices[0])
+        x, y = self.data.features[i], self.data.labels[i]
+        np.testing.assert_array_equal(trace.gradients[0], -2.0 * (y - w0 @ x) * x)
         expected = w0 - 0.05 * (trace.gradients[0] + trace.noises[0])
         np.testing.assert_array_equal(trace.final_iterate, expected)
 
@@ -220,10 +255,8 @@ class TestPrgdRun:
         """Over 10⁶ steps with N=10, each record is drawn 10⁵ ± 3·√(10⁶·0.09)."""
         zero = LossModel(
             "zero", 1,
-            lambda w, x, y: 0.0,
-            lambda w, x, y: np.zeros(1),
-            batch_value=lambda w, features, labels: np.zeros(len(labels)),
-            batch_gradient=lambda w, features, labels: np.zeros((len(labels), 1)),
+            lambda w, features, labels: np.zeros(len(labels)),
+            lambda w, features, labels: np.zeros((len(labels), 1)),
         )
         data = Dataset(np.zeros((10, 1)), np.zeros(10))
         config = RunConfig(step_size=1.0, steps=1_000_000, noise_radius=0.0, clip_norm=1.0, seed=123)
@@ -297,23 +330,20 @@ class TestEstimateSensitivity:
     def test_linear_loss_sensitivity_is_feature_gap(self):
         """For ℓ = w·x the per-example gradient is x itself, so the bound is
         the feature gap 1.5 at any probe point."""
-        linear = LossModel(
-            "linear", 1,
-            lambda w, x, y: float(w @ x),
-            lambda w, x, y: np.array(x, dtype=float),
-        )
         data = Dataset([[0.0], [1.5]], [0.0, 0.0])
         for w in ([0.0], [3.0], [-2.5]):
-            assert estimate_sensitivity(data, linear, [np.array(w)]) == 1.5
+            assert estimate_sensitivity(data, linear_loss(1), [np.array(w)]) == 1.5
+
+    def test_small_gap_between_large_gradients(self):
+        """‖a‖² + ‖b‖² − 2a·b on the raw rows rounds the 1e-3 gap between
+        two gradients of norm 1e8 to 0; the scan must still see it."""
+        data = Dataset([[1e8, 0.0], [1e8, 1e-3]], [0.0, 0.0])
+        assert estimate_sensitivity(data, linear_loss(2), [np.zeros(2)]) == pytest.approx(1e-3, rel=1e-12)
 
     def test_clip_caps_the_bound(self):
         """The unclipped scan sees the full gap 10; a clipped run is certified
         at 2·clip_norm without scanning."""
-        linear = LossModel(
-            "linear", 1,
-            lambda w, x, y: float(w @ x),
-            lambda w, x, y: np.array(x, dtype=float),
-        )
+        linear = linear_loss(1)
         data = Dataset([[-5.0], [5.0]], [0.0, 0.0])
         assert estimate_sensitivity(data, linear, [np.zeros(1)]) == 10.0
         trace = prgd_run(data, linear, RunConfig(step_size=0.1, steps=3, clip_norm=1.0), [0.0])

@@ -120,15 +120,16 @@ class TestGradCheck:
         model = scalar_factorization(1)
         record = (np.array([1.2]), 0.8)
         np.testing.assert_array_equal(
-            model.per_example_gradient(np.zeros(2), *record), np.zeros(2)
+            model.gradient(np.zeros(2), record[0][np.newaxis, :], np.array([record[1]])),
+            np.zeros((1, 2)),
         )
         assert grad_check(model, np.zeros(2), record, 1e-6) <= 1e-6
 
     def test_constant_loss_is_exact(self):
         constant = LossModel(
             "constant", 2,
-            lambda w, x, y: 1.25,
-            lambda w, x, y: np.zeros(2),
+            lambda w, features, labels: np.full(len(labels), 1.25),
+            lambda w, features, labels: np.zeros((len(labels), 2)),
         )
         assert grad_check(constant, np.ones(2), (np.ones(2), 0.0), 1e-4) == 0.0
 
