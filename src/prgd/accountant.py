@@ -12,10 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .special import ConvergenceError, reg_inc_beta
+from .special import ConvergenceError, beta, reg_inc_beta
 
 _BISECT_TOL = 1e-13
 _BISECT_MAX_ITER = 200
+_TINY_S = 1e-100  # below this s² underflows, and δ takes its first-order form
 
 
 @dataclass(frozen=True)
@@ -84,6 +85,9 @@ def per_step_delta(spec: PrivacySpec) -> float:
         # I_{s²}(1/2, 1) = s; the closed form keeps the one-dimensional
         # contract δ = Δx/(2R) exact instead of within continued-fraction noise
         return s
+    if s < _TINY_S:
+        # I_x(1/2, b) = 2√x / B(1/2, b) · (1 + O(b·x)); x = s² would be 0
+        return 2.0 * s / beta(0.5, 0.5 * (spec.d + 1))
     return reg_inc_beta(s * s, 0.5, 0.5 * (spec.d + 1))
 
 

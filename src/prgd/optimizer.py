@@ -11,6 +11,7 @@ sole source of the privacy guarantee attached to every trace.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -19,6 +20,9 @@ import numpy as np
 from .accountant import DeltaReport, PrivacySpec, overall_delta
 from .geometry import BallSpec, sample_ball
 from .rng import derive_rng
+
+_SLACK = 1e-12  # relative slack on the pruning bounds of the sensitivity scan
+_BLOCK_ENTRIES = 1 << 20  # distances per row block of the scan (8 MB)
 
 
 class DivergenceError(RuntimeError):
@@ -256,26 +260,75 @@ def estimate_sensitivity(
 ) -> float:
     """Empirical gradient-space sensitivity over a list of probe points.
 
-    Brute force: the largest pairwise distance between per-example
-    gradients, maximized over every probe point. This is a measured bound,
-    not a proof; it covers only the probed points.
+    The largest pairwise distance between per-example gradients, maximized
+    over every probe point. This is a measured bound, not a proof; it
+    covers only the probed points.
+
+    The value is exact up to rounding in its last bits, but most pairs are
+    never formed. A probe equal to its predecessor is skipped. A probe whose
+    gradients all lie within half the running maximum of their mean cannot
+    raise it, and costs one gradient table. Within a probe, the triangle
+    inequality through the mean rules out rows too close to it, and the
+    remaining pairs are swept in row blocks of at most ``_BLOCK_ENTRIES``
+    distances. Memory is O(N·p + _BLOCK_ENTRIES) for N records and p
+    parameters, never N×N. Time is O(N·p) per probe when pruning works; when
+    no row can be ruled out (every gradient equally far from the mean, as on
+    a sphere) the k surviving rows still cost O(k²·p).
+
+    Raises DivergenceError with the probe's index if a gradient table is
+    not finite.
     """
-    probes = [np.asarray(w, dtype=float) for w in w_list]
-    if not probes:
-        raise ValueError("need at least one probe point")
+    # an array of iterates (up to the 10⁸-element size bound) is read in place
+    probes = np.asarray(w_list if isinstance(w_list, np.ndarray) else list(w_list), dtype=float)
+    if probes.ndim != 2 or len(probes) == 0:
+        raise ValueError("need at least one probe point, each a parameter vector")
+    fresh = np.ones(len(probes), dtype=bool)
+    fresh[1:] = np.any(probes[1:] != probes[:-1], axis=1)
     worst = 0.0
-    for w in probes:
-        worst = max(worst, _max_pairwise_distance(model.gradient_table(w, data)))
+    for k in np.flatnonzero(fresh):
+        table = model.gradient_table(probes[k], data)
+        if not np.isfinite(table).all():
+            raise DivergenceError(int(k), "gradient")
+        worst = _max_pairwise_distance(table, worst)
     return worst
 
 
-def _max_pairwise_distance(rows: np.ndarray) -> float:
+def _max_pairwise_distance(rows: np.ndarray, floor: float) -> float:
+    """max(floor, largest distance between two rows), pairs at most
+    ``floor`` apart left unformed."""
+    if len(rows) < 2:
+        return floor
+    offsets = rows - rows.sum(axis=0) / len(rows)
+    squared_radii = np.einsum("ij,ij->i", offsets, offsets)
+    far = int(squared_radii.argmax())
+    # ‖gᵢ − gⱼ‖ ≤ rᵢ + rⱼ around the mean; every skip test carries the
+    # relative slack, so rounding can only add pairs, never drop one that wins
+    top = math.sqrt(squared_radii[far]) * (1.0 + _SLACK)
+    if 2.0 * top <= floor:
+        return floor
+    gaps = rows - rows[far]
+    best = max(floor, math.sqrt(np.einsum("ij,ij->i", gaps, gaps).max()))
+    radii = np.sqrt(squared_radii) * (1.0 + _SLACK)
+    # only a row with rᵢ + R > best can end a longer pair
+    candidates = np.flatnonzero(radii > best - top)
+    candidates = candidates[np.argsort(-radii[candidates], kind="stable")]
+    radii = radii[candidates]
     # centring on one row keeps ‖a‖² + ‖b‖² − 2a·b from cancelling away a
-    # small gap between large rows; distances are shift-invariant
-    rows = rows - rows[0]
+    # small gap between large rows, and keeps duplicate rows exactly 0 apart
+    rows = rows[candidates] - rows[0]
     sq = np.einsum("ij,ij->i", rows, rows)
-    d2 = sq[:, np.newaxis] + sq[np.newaxis, :] - 2.0 * (rows @ rows.T)
-    return float(np.sqrt(max(float(d2.max()), 0.0)))
+    count = len(rows)
+    start = 0
+    # sorted by radius, row i reaches at most 2rᵢ over the rows j ≥ i
+    while start < count and 2.0 * radii[start] > best:
+        stop = min(count, start + max(1, _BLOCK_ENTRIES // (count - start)))
+        d2 = rows[start:stop] @ rows[start:].T
+        d2 *= -2.0
+        d2 += sq[start:stop, np.newaxis]
+        d2 += sq[start:]
+        best = max(best, math.sqrt(max(float(d2.max()), 0.0)))
+        start = stop
+    return best
 
 
 def least_squares(feature_dim: int) -> LossModel:

@@ -1,8 +1,12 @@
 """Accounting tests: per-step guarantee, amplification, composition, the
 radius inverse, and the monotonicity structure of the guarantee."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prgd.accountant import (
     DeltaReport,
@@ -85,6 +89,54 @@ class TestPerStepDelta:
         for dx in np.linspace(0.1, 1.9, 10):
             consecutive = [per_step_delta(PrivacySpec(d, float(dx), 1, 1)) for d in range(1, 51)]
             assert all(b >= a for a, b in zip(consecutive, consecutive[1:]))
+
+    # d ≤ 10⁴ keeps the log-beta cancellation (ROADMAP 4a) inside the 1e-12
+    # allowance everywhere but within an ulp of the continued-fraction switch
+    # (the expected failure below); at d ≥ 10⁶ it is far outside
+    _d = st.integers(1, 10_000)
+    _radius = st.floats(1e-3, 1e3)
+    _fraction = st.floats(0.0, 1.25)  # of 2R; above 1 the balls are disjoint
+
+    @settings(max_examples=500, deadline=None)
+    @given(d=_d, radius=_radius, fraction=_fraction)
+    def test_property_in_unit_interval(self, d, radius, fraction):
+        delta = per_step_delta(PrivacySpec(d, fraction * 2.0 * radius, 1, 1, radius))
+        assert 0.0 <= delta <= 1.0
+
+    @settings(max_examples=500, deadline=None)
+    @given(d=_d, radius=_radius, fractions=st.tuples(_fraction, _fraction))
+    def test_property_monotone_in_distance(self, d, radius, fractions):
+        lo, hi = sorted(fractions)
+        delta_lo = per_step_delta(PrivacySpec(d, lo * 2.0 * radius, 1, 1, radius))
+        delta_hi = per_step_delta(PrivacySpec(d, hi * 2.0 * radius, 1, 1, radius))
+        assert delta_hi >= delta_lo * (1.0 - 1e-12)
+
+    @settings(max_examples=500, deadline=None)
+    @given(dims=st.tuples(_d, _d), radius=_radius, fraction=_fraction)
+    def test_property_monotone_in_dimension(self, dims, radius, fraction):
+        lo, hi = sorted(dims)
+        delta_x = fraction * 2.0 * radius
+        delta_lo = per_step_delta(PrivacySpec(lo, delta_x, 1, 1, radius))
+        delta_hi = per_step_delta(PrivacySpec(hi, delta_x, 1, 1, radius))
+        assert delta_hi >= delta_lo * (1.0 - 1e-12)
+
+    @pytest.mark.parametrize("d", [2, 3, 50, 10_000])
+    def test_tiny_distance_keeps_its_first_order_value(self, d):
+        """δ is linear in s for small s = Δx/(2R). Below s ≈ 1e-154, s²
+        underflows, and δ must not collapse to 0."""
+        near = per_step_delta(PrivacySpec(d, 2e-90, 1, 1)) / 1e-90
+        assert per_step_delta(PrivacySpec(d, 2e-200, 1, 1)) / 1e-200 == pytest.approx(near, rel=1e-12)
+        assert per_step_delta(PrivacySpec(d, 2e-310, 1, 1)) > 0.0
+
+    @pytest.mark.xfail(strict=True, reason="log-beta cancellation at large d (ROADMAP 4a)")
+    def test_monotone_across_the_switch_for_d_8699(self):
+        """Both continued-fraction branches share the log-beta front factor,
+        whose ~1e-11 error at d ≈ 10⁴ shows as a drop where they meet."""
+        b = 0.5 * 8700
+        s = math.sqrt(1.5 / (b + 2.5))
+        below = per_step_delta(PrivacySpec(8699, 2.0 * math.nextafter(s, 0.0), 1, 1))
+        above = per_step_delta(PrivacySpec(8699, 2.0 * s, 1, 1))
+        assert above >= below * (1.0 - 1e-12)
 
     def test_scaling_consistency(self):
         """δ(d, Δx, R) = δ(d, Δx/R, 1) for random triples."""

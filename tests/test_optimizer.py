@@ -2,6 +2,7 @@
 benchmark losses and their saddle structure, and sensitivity estimation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,6 +31,22 @@ def linear_loss(dim):
         lambda w, features, labels: features @ w,
         lambda w, features, labels: features,
     )
+
+
+def stretch_loss(dim):
+    """ℓ(w; x, y) = ½·Σₖ wₖ²·xₖ, whose gradient w ⊙ x is the record's
+    features stretched coordinate-wise by the probe point."""
+    return LossModel(
+        "stretch", dim,
+        lambda w, features, labels: 0.5 * features @ (w * w),
+        lambda w, features, labels: features * w,
+    )
+
+
+def brute_force_diameter(rows):
+    """Largest pairwise distance, by direct differences over all pairs."""
+    rows = np.asarray(rows, dtype=float)
+    return float(np.linalg.norm(rows[:, None] - rows[None], axis=-1).max())
 
 
 def numeric_hessian(fn, w, h=1e-5):
@@ -354,3 +371,115 @@ class TestEstimateSensitivity:
         data = Dataset([[1.0]], [2.0])
         with pytest.raises(ValueError):
             estimate_sensitivity(data, least_squares(1), [])
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("shape", [
+        "gaussian", "rank_one_heavy_tail", "offset_1e8", "one_row", "two_rows",
+    ])
+    def test_matches_brute_force(self, shape, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(50, 400))
+        p = int(rng.integers(1, 9))
+        if shape == "gaussian":
+            rows = rng.standard_normal((n, p)) * rng.uniform(0.1, 10.0, p)
+        elif shape == "rank_one_heavy_tail":
+            # the saddle shape: every gradient on one line, a few far out
+            rows = np.outer(rng.standard_cauchy(n), rng.standard_normal(p))
+        elif shape == "offset_1e8":
+            rows = 1e8 + 1e-3 * rng.integers(0, 50, (n, p))
+        elif shape == "one_row":
+            rows = rng.standard_normal((1, p))
+        else:
+            rows = rng.standard_normal((2, p))
+        data = Dataset(rows, np.zeros(len(rows)))
+        got = estimate_sensitivity(data, linear_loss(p), [np.zeros(p)])
+        assert got == pytest.approx(brute_force_diameter(rows), rel=1e-12)
+
+    def test_unit_sphere_matches_brute_force(self):
+        """Every row is equally far from the mean, so nothing is pruned and
+        the sweep spans several row blocks."""
+        rng = np.random.default_rng(5)
+        rows = rng.standard_normal((1500, 3))
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        data = Dataset(rows, np.zeros(len(rows)))
+        got = estimate_sensitivity(data, linear_loss(3), [np.zeros(3)])
+        assert got == pytest.approx(brute_force_diameter(rows), rel=1e-12)
+
+    def test_all_duplicate_rows_are_exactly_zero(self):
+        data = Dataset([[0.1, -2.7, 1e8]] * 64, [0.0] * 64)
+        assert estimate_sensitivity(data, stretch_loss(3), [np.ones(3), [0.3, 7.0, -1.1]]) == 0.0
+
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_multiple_probes_take_the_largest(self, order):
+        """The scale-3 probe dominates; it comes first (later probes are
+        pruned against it) or last (it beats every earlier one)."""
+        rng = np.random.default_rng(9)
+        features = rng.standard_normal((300, 4))
+        data = Dataset(features, np.zeros(300))
+        probes = [np.full(4, 3.0), np.ones(4), [0.5, 2.0, 1.0, 0.1], np.full(4, 2.0)][::order]
+        expected = max(brute_force_diameter(features * np.asarray(w)) for w in probes)
+        got = estimate_sensitivity(data, stretch_loss(4), probes)
+        assert got == pytest.approx(expected, rel=1e-12)
+        assert got == pytest.approx(brute_force_diameter(features * 3.0), rel=1e-12)
+
+    def test_non_finite_gradient_table_raises(self):
+        """At w = 0 the gradient of record 0 overflows to −inf while the loss
+        stays finite; the scan must not drop it and report sensitivity 0."""
+        data = Dataset([[1e155], [0.0]], [1e154, 0.0])
+        model = least_squares(1)
+        with np.errstate(over="ignore"), pytest.raises(DivergenceError) as err:
+            estimate_sensitivity(data, model, [np.zeros(1)])
+        assert err.value.step == 0
+        for seed in range(6):
+            config = RunConfig(step_size=1e-3, steps=1, noise_radius=1.0, seed=seed)
+            with np.errstate(over="ignore"), pytest.raises(DivergenceError) as err:
+                prgd_run(data, model, config, np.zeros(1))
+            assert err.value.step == 0
+
+    def test_repeated_probes_cost_one_gradient_table(self):
+        """The noiseless control never leaves the saddle, so its 2001
+        identical iterates need the full-data gradients once."""
+        data = synthesize_dataset(40, 1, 0.0, 11)
+        model = scalar_factorization(1)
+        full_tables = 0
+
+        def gradient(w, features, labels):
+            nonlocal full_tables
+            full_tables += len(labels) == len(data)
+            return model.gradient(w, features, labels)
+
+        counting = LossModel(model.name, model.parameter_dim, model.value, gradient)
+        config = RunConfig(step_size=0.01, steps=2000, noise_radius=0.0, seed=0)
+        trace = prgd_run(data, counting, config, np.zeros(2))
+        assert full_tables == 1
+        assert trace.sensitivity == brute_force_diameter(model.gradient_table(np.zeros(2), data))
+
+    def test_memory_stays_below_the_distance_matrix(self):
+        """2·10⁴ unit-sphere rows leave nothing to prune; the N × N matrix
+        alone would take 3.2 GB."""
+        rng = np.random.default_rng(2)
+        rows = rng.standard_normal((20_000, 16))
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        data = Dataset(rows, np.zeros(len(rows)))
+        tracemalloc.start()
+        try:
+            got = estimate_sensitivity(data, linear_loss(16), [np.zeros(16)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        assert 1.9 < got <= 2.0
+
+    def test_unclipped_run_with_1e5_records_stays_small(self):
+        """N = 10⁵ records, the shape at which the N × N scan asked for 75 GiB."""
+        tracemalloc.start()
+        try:
+            data = synthesize_dataset(100_000, 16, 0.1, 1)
+            config = RunConfig(step_size=0.01, steps=5, noise_radius=1.0, seed=2)
+            trace = prgd_run(data, least_squares(16), config, np.zeros(16))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 * 2**20
+        assert trace.report.sensitivity_provenance == "empirical"
+        assert np.isfinite(trace.sensitivity) and trace.sensitivity > 0.0
