@@ -61,35 +61,27 @@ def overlap_volume(spec: BallSpec, delta_x: float) -> float:
     return 2.0 * cap_volume(spec, delta_x / (2.0 * spec.radius))
 
 
-def sample_ball(
-    spec: BallSpec, rng: np.random.Generator, size: int | None = None
-) -> np.ndarray:
-    """Uniform draw(s) from the solid ball.
+def sample_ball(spec: BallSpec, rng: np.random.Generator, size: int) -> np.ndarray:
+    """``size`` uniform draws from the solid ball, shape (size, d).
 
     A standard-normal direction is normalized onto the sphere and pulled
     inward by U^{1/d}; this stays exact in high dimension, where rejection
-    sampling would be hopeless. Returns shape (d,) for ``size=None`` and
-    (size, d) otherwise. Deterministic given the generator state; a single
-    generator must not be shared across threads.
+    sampling would be hopeless. Deterministic given the generator state; a
+    single generator must not be shared across threads.
     """
-    n = 1 if size is None else int(size)
-    v = rng.standard_normal((n, spec.d))
+    v = rng.standard_normal((size, spec.d))
     norms = np.linalg.norm(v, axis=1, keepdims=True)
-    radii = (spec.radius * _RADIAL_BACKOFF) * rng.random((n, 1)) ** (1.0 / spec.d)
-    out = v * (radii / norms)
-    return out[0] if size is None else out
+    radii = (spec.radius * _RADIAL_BACKOFF) * rng.random((size, 1)) ** (1.0 / spec.d)
+    v *= radii / norms
+    return v
 
 
-def sample_sphere_surface(
-    spec: BallSpec, rng: np.random.Generator, size: int | None = None
-) -> np.ndarray:
-    """Uniform draw(s) from the sphere of radius ``spec.radius``.
+def sample_sphere_surface(spec: BallSpec, rng: np.random.Generator, size: int) -> np.ndarray:
+    """``size`` uniform draws from the sphere of radius ``spec.radius``,
+    shape (size, d).
 
-    Every returned vector has norm within 1e-12 of the radius. Shape
-    conventions match :func:`sample_ball`.
+    Every returned vector has norm within 1e-12 of the radius.
     """
-    n = 1 if size is None else int(size)
-    v = rng.standard_normal((n, spec.d))
-    norms = np.linalg.norm(v, axis=1, keepdims=True)
-    out = v * (spec.radius / norms)
-    return out[0] if size is None else out
+    v = rng.standard_normal((size, spec.d))
+    v *= spec.radius / np.linalg.norm(v, axis=1, keepdims=True)
+    return v

@@ -82,10 +82,6 @@ class LossModel:
         """Full-data loss: the mean per-example value at w."""
         return float(np.mean(self.value(w, data.features, data.labels)))
 
-    def gradient_table(self, w: np.ndarray, data: Dataset) -> np.ndarray:
-        """(n, parameter_dim) matrix of per-example gradients at w."""
-        return np.asarray(self.gradient(w, data.features, data.labels), dtype=float)
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -152,8 +148,9 @@ class RunTrace:
         components of the pre-update iterate; space-separated, floats in
         shortest round-trip form.
         """
-        grad_norms = np.linalg.norm(self.gradients, axis=1)
-        noise_norms = np.linalg.norm(self.noises, axis=1)
+        # the 1-D norm's dot kernel, so each field is np.linalg.norm(row)
+        grad_norms = np.sqrt(np.vecdot(self.gradients, self.gradients))
+        noise_norms = np.sqrt(np.vecdot(self.noises, self.noises))
         lines = []
         for t in range(self.steps):
             fields = [
@@ -180,8 +177,9 @@ def prgd_run(
     Per step: one record is chosen uniformly at random, its per-example
     gradient is taken at the current iterate (clipped to ``clip_norm`` when
     set), one fresh draw from the radius-R ball is added, and the update
-    w ← w − η·(gradient + noise) is applied. Deterministic given
-    ``config.seed``.
+    w ← w − η·(gradient + noise) is applied. The T record indices and then
+    the T noise rows are drawn up front from ``derive_rng(config.seed)``,
+    so a run is deterministic given the seed.
 
     The attached report covers (d=parameter_dim, sensitivity, N, T, R). The
     sensitivity is the caller's ``sensitivity`` when given, else 2·clip_norm
@@ -200,16 +198,17 @@ def prgd_run(
     total = config.steps
     dim = model.parameter_dim
     rng = derive_rng(config.seed)
-    ball = BallSpec(dim, config.noise_radius) if config.noise_radius > 0.0 else None
+    data_indices = rng.integers(n, size=total)
+    if config.noise_radius > 0.0:
+        noises = sample_ball(BallSpec(dim, config.noise_radius), rng, total)
+    else:
+        noises = np.zeros((total, dim))
 
-    data_indices = np.zeros(total, dtype=np.int64)
     iterates = np.zeros((total + 1, dim))
     gradients = np.zeros((total, dim))
-    noises = np.zeros((total, dim))
     losses = np.zeros(total)
 
-    for t in range(total):
-        idx = int(rng.integers(n))
+    for t, idx in enumerate(data_indices):
         grad = model.gradient(w, data.features[idx:idx + 1], data.labels[idx:idx + 1])[0]
         if not np.all(np.isfinite(grad)):
             raise DivergenceError(t, "gradient")
@@ -218,17 +217,14 @@ def prgd_run(
             if norm > config.clip_norm:
                 # factor backs off 1e-15 so the recomputed norm stays <= clip_norm
                 grad = grad * (config.clip_norm * (1.0 - 1e-15) / norm)
-        noise = sample_ball(ball, rng) if ball is not None else np.zeros(dim)
         loss = model.mean_loss(w, data)
         if not np.isfinite(loss):
             raise DivergenceError(t, "loss")
 
-        data_indices[t] = idx
         iterates[t] = w
         gradients[t] = grad
-        noises[t] = noise
         losses[t] = loss
-        w = w - config.step_size * (grad + noise)
+        w = w - config.step_size * (grad + noises[t])
 
     iterates[total] = w
     final_loss = model.mean_loss(w, data)
@@ -286,7 +282,7 @@ def estimate_sensitivity(
     fresh[1:] = np.any(probes[1:] != probes[:-1], axis=1)
     worst = 0.0
     for k in np.flatnonzero(fresh):
-        table = model.gradient_table(probes[k], data)
+        table = np.asarray(model.gradient(probes[k], data.features, data.labels), dtype=float)
         if not np.isfinite(table).all():
             raise DivergenceError(int(k), "gradient")
         worst = _max_pairwise_distance(table, worst)

@@ -117,7 +117,6 @@ class TestOverlapVolume:
 class TestSampleBall:
     def test_shapes(self):
         rng = derive_rng(0)
-        assert sample_ball(BallSpec(4), rng).shape == (4,)
         assert sample_ball(BallSpec(4), rng, 10).shape == (10, 4)
 
     def test_deterministic_given_seed(self):

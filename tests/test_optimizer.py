@@ -2,6 +2,7 @@
 benchmark losses and their saddle structure, and sensitivity estimation."""
 
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 
 from prgd import optimizer
 from prgd.accountant import PrivacySpec, overall_delta
+from prgd.geometry import BallSpec, sample_ball
 from prgd.optimizer import (
     Dataset,
     DivergenceError,
@@ -22,6 +24,7 @@ from prgd.optimizer import (
     scalar_factorization,
     synthesize_dataset,
 )
+from prgd.rng import derive_rng
 
 
 def linear_loss(dim):
@@ -106,7 +109,7 @@ class TestBuiltinLosses:
         sum_xy = float(np.sum(data.features[:, 0] * data.labels))
         assert sum_xy == 1.0
 
-        grads = model.gradient_table(np.zeros(2), data)
+        grads = model.gradient(np.zeros(2), data.features, data.labels)
         np.testing.assert_array_equal(grads, np.zeros((2, 2)))
 
         hess = numeric_hessian(lambda w: model.mean_loss(w, data), np.zeros(2))
@@ -134,7 +137,7 @@ class TestBuiltinLosses:
     def test_rank1_factorization_saddle_at_origin(self):
         data = synthesize_dataset(10, 3, 0.0, 2)
         model = rank1_factorization(3)
-        grads = model.gradient_table(np.zeros(3), data)
+        grads = model.gradient(np.zeros(3), data.features, data.labels)
         np.testing.assert_array_equal(grads, np.zeros((10, 3)))
 
     DIRECT_VALUES = {
@@ -310,6 +313,49 @@ class TestPrgdRun:
         assert 0 <= err.value.step < 100
         assert "iteration" in str(err.value)
 
+    def test_divergence_names_step_and_quantity(self):
+        """Four identical records and R = 0, so no draw matters. For
+        x = y = 1 from w₀ = 0 the residual is rₖ = (1 − 2η)ᵏ, and the loss
+        rₖ² overflows at the first k with 2k·ln|1 − 2η| > ln(max float),
+        while the gradient 2rₖ is still finite. For x = 1e200 both are
+        non-finite at step 0, and the gradient is checked first."""
+        eta = 1e8
+        first = math.ceil(math.log(sys.float_info.max) / (2.0 * math.log(2.0 * eta - 1.0)))
+        assert 2.0 * (2.0 * eta - 1.0) ** first < sys.float_info.max
+        cases = [
+            (1.0, 1.0, eta, 0.0, first, "loss"),
+            (1e200, 0.0, 0.01, 1.0, 0, "gradient"),
+        ]
+        for x, y, step_size, w0, step, quantity in cases:
+            data = Dataset([[x]] * 4, [y] * 4)
+            config = RunConfig(step_size=step_size, steps=100, noise_radius=0.0)
+            with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as err:
+                prgd_run(data, least_squares(1), config, [w0])
+            assert (err.value.step, str(err.value).split()[0]) == (step, quantity)
+
+    def test_randomness_is_drawn_in_two_calls(self, monkeypatch):
+        """The T record indices, then the T noise rows, each in one call on
+        the seed's generator; a noiseless run draws no noise."""
+        sizes = []
+
+        def counting(spec, rng, size):
+            sizes.append(size)
+            return sample_ball(spec, rng, size)
+
+        monkeypatch.setattr(optimizer, "sample_ball", counting)
+        config = RunConfig(step_size=0.01, steps=250, noise_radius=0.5, seed=7)
+        trace = prgd_run(self.data, self.model, config, np.zeros(2))
+        assert sizes == [250]
+        rng = derive_rng(7)
+        np.testing.assert_array_equal(trace.data_indices, rng.integers(15, size=250))
+        np.testing.assert_array_equal(trace.noises, sample_ball(BallSpec(2, 0.5), rng, 250))
+
+        config = RunConfig(step_size=0.01, steps=250, noise_radius=0.0, seed=7)
+        control = prgd_run(self.data, self.model, config, np.zeros(2))
+        assert sizes == [250]
+        np.testing.assert_array_equal(control.noises, np.zeros((250, 2)))
+        np.testing.assert_array_equal(control.data_indices, derive_rng(7).integers(15, size=250))
+
     def test_rejects_wrong_initial_shape(self):
         config = RunConfig(step_size=0.1, steps=1)
         with pytest.raises(ValueError):
@@ -320,19 +366,20 @@ class TestSerialization:
     def test_line_format(self):
         data = synthesize_dataset(5, 2, 0.0, 1)
         model = least_squares(2)
-        config = RunConfig(step_size=0.1, steps=3, noise_radius=0.5, seed=8)
-        trace = prgd_run(data, model, config, np.zeros(2))
-        lines = trace.serialize_lines()
-        assert len(lines) == 3
-        for t, line in enumerate(lines):
-            fields = line.split(" ")
-            assert len(fields) == 5 + 2
-            assert int(fields[0]) == t
-            assert int(fields[1]) == trace.data_indices[t]
-            assert float(fields[2]) == trace.losses[t]
-            assert float(fields[3]) == np.linalg.norm(trace.gradients[t])
-            assert float(fields[4]) == np.linalg.norm(trace.noises[t])
-            np.testing.assert_array_equal([float(f) for f in fields[5:]], trace.iterates[t])
+        for seed in range(40):
+            config = RunConfig(step_size=0.1, steps=3, noise_radius=0.5, seed=seed)
+            trace = prgd_run(data, model, config, np.zeros(2))
+            lines = trace.serialize_lines()
+            assert len(lines) == 3
+            for t, line in enumerate(lines):
+                fields = line.split(" ")
+                assert len(fields) == 5 + 2
+                assert int(fields[0]) == t
+                assert int(fields[1]) == trace.data_indices[t]
+                assert float(fields[2]) == trace.losses[t]
+                assert float(fields[3]) == np.linalg.norm(trace.gradients[t])
+                assert float(fields[4]) == np.linalg.norm(trace.noises[t])
+                np.testing.assert_array_equal([float(f) for f in fields[5:]], trace.iterates[t])
 
 
 class TestEstimateSensitivity:
@@ -452,7 +499,8 @@ class TestEstimateSensitivity:
         config = RunConfig(step_size=0.01, steps=2000, noise_radius=0.0, seed=0)
         trace = prgd_run(data, counting, config, np.zeros(2))
         assert full_tables == 1
-        assert trace.sensitivity == brute_force_diameter(model.gradient_table(np.zeros(2), data))
+        table = model.gradient(np.zeros(2), data.features, data.labels)
+        assert trace.sensitivity == brute_force_diameter(table)
 
     def test_memory_stays_below_the_distance_matrix(self):
         """2·10⁴ unit-sphere rows leave nothing to prune; the N × N matrix
