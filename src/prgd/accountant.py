@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from .special import ConvergenceError, beta, reg_inc_beta
 
 _BISECT_TOL = 1e-13
-_BISECT_MAX_ITER = 200
 _TINY_S = 1e-100  # below this s² underflows, and δ takes its first-order form
 
 
@@ -114,8 +113,10 @@ def radius_for_target(d: int, delta_x: float, target_per_step_delta: float) -> f
     """Noise radius achieving a requested per-step δ for given (d, delta_x).
 
     δ is continuous and strictly decreasing in the radius — from 1 at
-    R = delta_x/2 toward 0 — so bisection always brackets. The returned
-    radius satisfies |per_step_delta - target| <= 1e-10 and exceeds
+    R = delta_x/2 toward 0 — so bisection always brackets. The bracket keeps
+    δ(lo) > target >= δ(hi), and ``hi`` is returned, so per_step_delta at the
+    returned radius never exceeds the target. It is within 1e-13 below it
+    unless lo and hi became adjacent floats first. The radius exceeds
     delta_x/2.
     """
     if not 0.0 < target_per_step_delta < 1.0:
@@ -130,29 +131,23 @@ def radius_for_target(d: int, delta_x: float, target_per_step_delta: float) -> f
 
     lo = 0.5 * delta_x  # δ = 1 here
     hi = max(delta_x, 1.0)
-    while delta_at(hi) > target_per_step_delta:
+    while (value := delta_at(hi)) > target_per_step_delta:
         lo = hi
         hi *= 2.0
         if hi > 1e300:
             raise ConvergenceError(
                 f"failed to bracket radius for target {target_per_step_delta}"
             )
-    mid = hi
-    for _ in range(_BISECT_MAX_ITER):
+    while target_per_step_delta - value > _BISECT_TOL:
         mid = 0.5 * (lo + hi)
-        value = delta_at(mid)
-        if abs(value - target_per_step_delta) <= _BISECT_TOL:
-            return mid
-        if value > target_per_step_delta:
+        if not lo < mid < hi:  # lo and hi are adjacent floats
+            break
+        mid_value = delta_at(mid)
+        if mid_value > target_per_step_delta:
             lo = mid
         else:
-            hi = mid
-    if abs(delta_at(mid) - target_per_step_delta) <= 1e-10:
-        return mid
-    raise ConvergenceError(
-        f"bisection stalled solving for radius at d={d}, delta_x={delta_x}, "
-        f"target={target_per_step_delta}"
-    )
+            hi, value = mid, mid_value
+    return hi
 
 
 def delta_curve(

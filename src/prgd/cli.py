@@ -189,14 +189,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         run_config = RunConfig(**run_spec)
     except ValueError as exc:
         raise ConfigError(f"run: {exc}") from None
-    initial_w = np.asarray(config["initial_w"], dtype=float)
-    if initial_w.shape != (model.parameter_dim,):
-        raise ConfigError(
-            f"initial_w must have {model.parameter_dim} components for loss "
-            f"{config['loss']!r}, got {initial_w.shape}"
-        )
 
-    trace = prgd_run(data, model, run_config, initial_w, config.get("sensitivity"))
+    trace = prgd_run(data, model, run_config, config["initial_w"], config.get("sensitivity"))
 
     trace_path = args.trace if args.trace is not None else str(Path(args.config).with_suffix(".trace"))
     Path(trace_path).write_text("\n".join(trace.serialize_lines()) + "\n")

@@ -78,10 +78,6 @@ class LossModel:
     value: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     gradient: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
-    def mean_loss(self, w: np.ndarray, data: Dataset) -> float:
-        """Full-data loss: the mean per-example value at w."""
-        return float(np.mean(self.value(w, data.features, data.labels)))
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -116,12 +112,12 @@ class RunConfig:
 class RunTrace:
     """Everything recorded over one run.
 
-    Row t of ``data_indices``, ``gradients``, ``noises`` and ``losses``
-    describes iteration t at its pre-update iterate ``iterates[t]``; the
-    gradient is stored after clipping and the loss is the full-data mean.
-    ``iterates`` carries one extra final row, so
-    iterates[t+1] = iterates[t] - step_size·(gradients[t] + noises[t])
-    holds for every step.
+    Row t of ``data_indices``, ``gradients`` and ``noises`` describes
+    iteration t at its pre-update iterate ``iterates[t]``; the gradient is
+    stored after clipping. ``iterates`` and ``losses`` carry one extra final
+    row, so iterates[t+1] = iterates[t] - step_size·(gradients[t] + noises[t])
+    holds for every step and losses[t] is the full-data mean loss at
+    iterates[t] for t = 0..T.
     """
 
     data_indices: np.ndarray
@@ -129,7 +125,6 @@ class RunTrace:
     gradients: np.ndarray
     noises: np.ndarray
     losses: np.ndarray
-    final_loss: float
     sensitivity: float
     report: DeltaReport
 
@@ -140,6 +135,10 @@ class RunTrace:
     @property
     def final_iterate(self) -> np.ndarray:
         return self.iterates[-1]
+
+    @property
+    def final_loss(self) -> float:
+        return float(self.losses[-1])
 
     def serialize_lines(self) -> list[str]:
         """One text record per iteration.
@@ -186,14 +185,15 @@ def prgd_run(
     when clipping is on (certified), else the empirical pairwise bound over
     the visited iterates.
 
-    Raises DivergenceError with the offending iteration if a loss or
-    gradient stops being finite.
+    The loop only descends. The full-data losses at all T+1 iterates are
+    computed in one pass after it, and then one check raises
+    DivergenceError with the first iteration whose gradient or loss is not
+    finite (the gradient of step t counts before its loss). A diverging run
+    therefore finishes its T steps in inf/nan before it raises.
     """
     w = np.array(initial_w, dtype=float)
     if w.shape != (model.parameter_dim,):
-        raise ValueError(
-            f"initial point has shape {w.shape}, expected ({model.parameter_dim},)"
-        )
+        raise ValueError(f"initial_w has shape {w.shape}, expected ({model.parameter_dim},)")
     n = len(data)
     total = config.steps
     dim = model.parameter_dim
@@ -206,30 +206,33 @@ def prgd_run(
 
     iterates = np.zeros((total + 1, dim))
     gradients = np.zeros((total, dim))
-    losses = np.zeros(total)
 
-    for t, idx in enumerate(data_indices):
-        grad = model.gradient(w, data.features[idx:idx + 1], data.labels[idx:idx + 1])[0]
-        if not np.all(np.isfinite(grad)):
-            raise DivergenceError(t, "gradient")
-        if config.clip_norm is not None:
-            norm = float(np.linalg.norm(grad))
-            if norm > config.clip_norm:
-                # factor backs off 1e-15 so the recomputed norm stays <= clip_norm
-                grad = grad * (config.clip_norm * (1.0 - 1e-15) / norm)
-        loss = model.mean_loss(w, data)
-        if not np.isfinite(loss):
-            raise DivergenceError(t, "loss")
+    # overflow, invalid and divide all end in inf or nan, which the check reports
+    with np.errstate(all="ignore"):
+        for t, idx in enumerate(data_indices):
+            grad = model.gradient(w, data.features[idx:idx + 1], data.labels[idx:idx + 1])[0]
+            if config.clip_norm is not None:
+                norm = float(np.linalg.norm(grad))
+                if norm > config.clip_norm:
+                    # factor backs off 1e-15 so the recomputed norm stays <= clip_norm;
+                    # an inf norm makes the factor 0 and the row nan
+                    grad = grad * (config.clip_norm * (1.0 - 1e-15) / norm)
+            iterates[t] = w
+            gradients[t] = grad
+            w = w - config.step_size * (grad + noises[t])
+        iterates[total] = w
+        losses = np.fromiter(
+            (np.mean(model.value(v, data.features, data.labels)) for v in iterates), float, total + 1
+        )
 
-        iterates[t] = w
-        gradients[t] = grad
-        losses[t] = loss
-        w = w - config.step_size * (grad + noises[t])
-
-    iterates[total] = w
-    final_loss = model.mean_loss(w, data)
-    if not np.isfinite(final_loss):
-        raise DivergenceError(total, "loss")
+    # the first step with a non-finite gradient row, and with a non-finite
+    # loss; the appended False makes T+1 mean none (step T has no gradient)
+    gradient_step = int(np.append(np.isfinite(gradients).all(axis=1), [True, False]).argmin())
+    loss_step = int(np.append(np.isfinite(losses), False).argmin())
+    step = min(gradient_step, loss_step)
+    if step <= total:
+        # a step's gradient is taken before its loss
+        raise DivergenceError(step, "gradient" if gradient_step == step else "loss")
 
     if sensitivity is not None:
         provenance = "given"
@@ -245,7 +248,6 @@ def prgd_run(
         gradients=gradients,
         noises=noises,
         losses=losses,
-        final_loss=final_loss,
         sensitivity=sensitivity,
         report=report,
     )

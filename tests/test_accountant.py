@@ -227,6 +227,24 @@ class TestRadiusForTarget:
             achieved = per_step_delta(PrivacySpec(d, dx, 1, 1, radius))
             assert achieved == pytest.approx(target, abs=1e-9)
 
+    def test_tiny_target_is_not_overshot(self):
+        """At d = 10, Δx = 1 and target 1e-14 the solved radius may not give
+        more than the target (a stop at |δ − t| <= 1e-13 gave 1.225 × t)."""
+        radius = radius_for_target(10, 1.0, 1e-14)
+        assert radius > 0.5
+        assert per_step_delta(PrivacySpec(10, 1.0, 1, 1, radius)) <= 1e-14
+
+    def test_never_above_target(self):
+        """δ at the solved radius is at most the target, and within 1e-13 of
+        it, for targets 1e-3 .. 1e-15."""
+        rng = np.random.default_rng(22)
+        for _ in range(200):
+            d = int(np.exp(rng.uniform(0.0, np.log(1e4))))
+            dx = float(np.exp(rng.uniform(np.log(0.01), np.log(2.0))))
+            target = 10.0 ** -float(rng.uniform(3.0, 15.0))
+            achieved = per_step_delta(PrivacySpec(d, dx, 1, 1, radius_for_target(d, dx, target)))
+            assert target - 1e-13 <= achieved <= target
+
     def test_rejects_degenerate_targets(self):
         for target in (0.0, 1.0, -0.1, 1.5):
             with pytest.raises(ValueError):

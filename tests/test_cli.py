@@ -213,7 +213,7 @@ class TestRun:
 
         data = synthesize_dataset(50, 3, 0.1, 5)
         w_star, *_ = np.linalg.lstsq(data.features, data.labels, rcond=None)
-        optimum = least_squares(3).mean_loss(w_star, data)
+        optimum = np.mean(least_squares(3).value(w_star, data.features, data.labels))
         assert float(report["final_loss"]) == pytest.approx(optimum, abs=0.05)
 
     def test_noiseless_saddle_run_reports_zero_displacement(self, tmp_path, capsys):
@@ -466,6 +466,21 @@ class TestExitCodeContract:
     def test_success_is_zero(self):
         proc = run_module("account", "--d", "1", "--delta-x", "1", "--n", "10", "--t", "5")
         assert proc.returncode == 0
+
+    def test_divergence_is_one_stderr_line(self, tmp_path):
+        """A diverging run exits 1 with only the error line on stderr: no
+        numpy warning about the overflow that caused it."""
+        config_path = tmp_path / "cfg.json"
+        write_config(
+            config_path,
+            loss="least_squares",
+            data={"n": 10, "feature_dim": 2, "label_noise": 0.1, "seed": 1},
+            run={"step_size": 1e8, "steps": 100, "noise_radius": 0.0, "seed": 1},
+            initial_w=[1.0, 1.0],
+        )
+        proc = run_module("run", str(config_path), "--trace", str(tmp_path / "t.trace"))
+        assert proc.returncode == 1
+        assert proc.stderr.decode().splitlines() == ["error: loss became non-finite at iteration 20"]
 
     def test_help_available_for_each_subcommand(self):
         for command in ("account", "curve", "run", "validate"):

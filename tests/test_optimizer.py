@@ -96,7 +96,8 @@ class TestBuiltinLosses:
         """Mean Hessian is 2/N·ΣxxT, positive semidefinite everywhere."""
         data = synthesize_dataset(20, 3, 0.5, 0)
         model = least_squares(3)
-        hess = numeric_hessian(lambda w: model.mean_loss(w, data), np.array([0.3, -1.0, 2.0]))
+        hess = numeric_hessian(lambda w: np.mean(model.value(w, data.features, data.labels)),
+                               np.array([0.3, -1.0, 2.0]))
         expected = 2.0 * data.features.T @ data.features / len(data)
         np.testing.assert_allclose(hess, expected, rtol=1e-4, atol=1e-4)
         assert np.linalg.eigvalsh(hess).min() >= -1e-8
@@ -112,7 +113,7 @@ class TestBuiltinLosses:
         grads = model.gradient(np.zeros(2), data.features, data.labels)
         np.testing.assert_array_equal(grads, np.zeros((2, 2)))
 
-        hess = numeric_hessian(lambda w: model.mean_loss(w, data), np.zeros(2))
+        hess = numeric_hessian(lambda w: np.mean(model.value(w, data.features, data.labels)), np.zeros(2))
         eigs = np.sort(np.linalg.eigvalsh(hess))
         np.testing.assert_allclose(eigs, [-2.0 / 2.0 * sum_xy, 2.0 / 2.0 * sum_xy], atol=1e-6)
 
@@ -248,9 +249,73 @@ class TestPrgdRun:
     def test_losses_recorded_at_pre_update_iterates(self):
         config = RunConfig(step_size=0.01, steps=50, noise_radius=0.1, seed=6)
         trace = prgd_run(self.data, self.model, config, np.zeros(2))
-        assert trace.losses[0] == self.model.mean_loss(trace.iterates[0], self.data)
+        assert trace.losses[0] == np.mean(
+            self.model.value(trace.iterates[0], self.data.features, self.data.labels)
+        )
         assert np.all(np.isfinite(trace.losses))
-        assert trace.final_loss == self.model.mean_loss(trace.final_iterate, self.data)
+        assert trace.final_loss == np.mean(
+            self.model.value(trace.final_iterate, self.data.features, self.data.labels)
+        )
+
+    @pytest.mark.parametrize("clip_norm", [None, 0.3])
+    def test_losses_cover_every_iterate(self, clip_norm):
+        """T+1 losses, one full-data mean per iterate, the last one final_loss."""
+        config = RunConfig(step_size=0.01, steps=120, noise_radius=0.4, clip_norm=clip_norm, seed=8)
+        trace = prgd_run(self.data, self.model, config, np.array([0.5, -0.5]))
+        assert trace.losses.shape == (121,)
+        for w, loss in zip(trace.iterates, trace.losses, strict=True):
+            assert loss == np.mean(self.model.value(w, self.data.features, self.data.labels))
+        assert trace.final_loss == trace.losses[-1]
+        assert isinstance(trace.final_loss, float)
+
+    def test_losses_are_evaluated_after_the_descent(self):
+        """Every one-row gradient call comes before the first loss call, and
+        the loss calls see the whole dataset once per iterate."""
+        calls = []
+
+        def value(w, features, labels):
+            calls.append(("value", len(labels)))
+            return self.model.value(w, features, labels)
+
+        def gradient(w, features, labels):
+            calls.append(("gradient", len(labels)))
+            return self.model.gradient(w, features, labels)
+
+        config = RunConfig(step_size=0.01, steps=30, noise_radius=0.2, seed=1)
+        trace = prgd_run(self.data, LossModel("logged", 2, value, gradient), config, np.zeros(2),
+                         sensitivity=0.1)
+        assert calls == [("gradient", 1)] * 30 + [("value", 15)] * 31
+        reference = prgd_run(self.data, self.model, config, np.zeros(2), sensitivity=0.1)
+        assert trace.serialize_lines() == reference.serialize_lines()
+
+    @pytest.mark.parametrize("bad_gradient,bad_loss,expected", [
+        (True, False, (3, "gradient")),
+        (False, True, (3, "loss")),
+        (True, True, (3, "gradient")),
+    ])
+    def test_first_non_finite_step_and_quantity(self, bad_gradient, bad_loss, expected):
+        """From w₀ = 0 with gradient 1 and η = 1 the iterates are wₜ = −t;
+        the gradient and/or loss turn nan once w < −2.5, first at step 3."""
+        def value(w, features, labels):
+            return np.full(len(labels), np.nan if bad_loss and w[0] < -2.5 else 0.0)
+
+        def gradient(w, features, labels):
+            return np.full((len(labels), 1), np.nan if bad_gradient and w[0] < -2.5 else 1.0)
+
+        config = RunConfig(step_size=1.0, steps=6, noise_radius=0.0)
+        with pytest.raises(DivergenceError) as err:
+            prgd_run(self.data, LossModel("nan_after_three", 1, value, gradient), config, [0.0])
+        assert (err.value.step, str(err.value).split()[0]) == expected
+
+    def test_clipped_overflowing_gradient_names_the_gradient(self):
+        """An overflowing gradient has an inf norm, which clips it to nan, so
+        a clipped run still names the gradient even where the loss at the
+        same iterate, (x·w)² = 1e298, is finite."""
+        data = Dataset([[1e159]] * 4, [0.0] * 4)
+        config = RunConfig(step_size=0.01, steps=10, noise_radius=0.0, clip_norm=1.0)
+        with pytest.raises(DivergenceError) as err:
+            prgd_run(data, least_squares(1), config, [1e-10])
+        assert (err.value.step, str(err.value).split()[0]) == (0, "gradient")
 
     def test_empirical_sensitivity_attached(self):
         config = RunConfig(step_size=0.01, steps=50, noise_radius=0.1, seed=6)
