@@ -75,19 +75,24 @@ def per_step_delta(spec: PrivacySpec) -> float:
     and saturates at exactly 1 once the balls no longer overlap
     (delta_x >= 2·radius, which covers every positive delta_x at radius 0).
     """
-    if spec.delta_x == 0.0:
+    return _delta(spec.d, spec.delta_x, spec.noise_radius)
+
+
+def _delta(d: int, delta_x: float, radius: float) -> float:
+    """per_step_delta for arguments a PrivacySpec has already accepted."""
+    if delta_x == 0.0:
         return 0.0
-    if spec.delta_x >= 2.0 * spec.noise_radius:
+    if delta_x >= 2.0 * radius:
         return 1.0
-    s = spec.delta_x / (2.0 * spec.noise_radius)
-    if spec.d == 1:
+    s = delta_x / (2.0 * radius)
+    if d == 1:
         # I_{s²}(1/2, 1) = s; the closed form keeps the one-dimensional
         # contract δ = Δx/(2R) exact instead of within continued-fraction noise
         return s
     if s < _TINY_S:
         # I_x(1/2, b) = 2√x / B(1/2, b) · (1 + O(b·x)); x = s² would be 0
-        return 2.0 * s / beta(0.5, 0.5 * (spec.d + 1))
-    return reg_inc_beta(s * s, 0.5, 0.5 * (spec.d + 1))
+        return 2.0 * s / beta(0.5, 0.5 * (d + 1))
+    return reg_inc_beta(s * s, 0.5, 0.5 * (d + 1))
 
 
 def overall_delta(spec: PrivacySpec, provenance: str = "given") -> DeltaReport:
@@ -125,13 +130,10 @@ def radius_for_target(d: int, delta_x: float, target_per_step_delta: float) -> f
         )
     if not delta_x > 0.0:
         raise ValueError(f"delta_x must be positive, got {delta_x}")
-
-    def delta_at(radius: float) -> float:
-        return per_step_delta(PrivacySpec(d, delta_x, 1, 1, radius))
-
     lo = 0.5 * delta_x  # δ = 1 here
     hi = max(delta_x, 1.0)
-    while (value := delta_at(hi)) > target_per_step_delta:
+    PrivacySpec(d, delta_x, 1, 1, hi)  # checks d; every radius below is positive
+    while (value := _delta(d, delta_x, hi)) > target_per_step_delta:
         lo = hi
         hi *= 2.0
         if hi > 1e300:
@@ -142,7 +144,7 @@ def radius_for_target(d: int, delta_x: float, target_per_step_delta: float) -> f
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:  # lo and hi are adjacent floats
             break
-        mid_value = delta_at(mid)
+        mid_value = _delta(d, delta_x, mid)
         if mid_value > target_per_step_delta:
             lo = mid
         else:
@@ -164,11 +166,9 @@ def delta_curve(
         raise ValueError("d_list and delta_x_grid must be nonempty")
     for dx in grid:
         if not 0.0 <= dx <= 2.0 * radius:
-            raise ValueError(
-                f"grid value {dx} outside [0, {2.0 * radius}] for radius {radius}"
-            )
+            raise ValueError(f"grid value {dx} outside [0, {2.0 * radius}] for radius {radius}")
     rows = []
     for d in dims:
-        for dx in grid:
-            rows.append((d, dx, per_step_delta(PrivacySpec(d, dx, 1, 1, radius))))
+        PrivacySpec(d, grid[0], 1, 1, radius)  # checks d; the grid is checked above
+        rows.extend((d, dx, _delta(d, dx, radius)) for dx in grid)
     return rows

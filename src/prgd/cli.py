@@ -173,9 +173,9 @@ def load_experiment_config(path: str) -> dict:
 def cmd_run(args: argparse.Namespace) -> int:
     config = load_experiment_config(args.config)
     data_spec, run_spec = config["data"], config["run"]
-    for field in ("seed", "steps", "step_size", "noise_radius"):
+    for field, kind in _RUN_FIELDS.items():
         if getattr(args, field) is not None:
-            run_spec[field] = getattr(args, field)
+            run_spec[field] = _number(getattr(args, field), kind, f"run.{field}")
 
     model = builtin_losses()[config["loss"]](data_spec["feature_dim"])
     for what, elements in (

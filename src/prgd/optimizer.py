@@ -23,6 +23,7 @@ from .rng import derive_rng
 
 _SLACK = 1e-12  # relative slack on the pruning bounds of the sensitivity scan
 _BLOCK_ENTRIES = 1 << 20  # distances per row block of the scan (8 MB)
+_LINE_BLOCK = 10_000  # trace rows formatted per block
 
 
 class DivergenceError(RuntimeError):
@@ -151,16 +152,15 @@ class RunTrace:
         grad_norms = np.sqrt(np.vecdot(self.gradients, self.gradients))
         noise_norms = np.sqrt(np.vecdot(self.noises, self.noises))
         lines = []
-        for t in range(self.steps):
-            fields = [
-                str(t),
-                str(int(self.data_indices[t])),
-                repr(float(self.losses[t])),
-                repr(float(grad_norms[t])),
-                repr(float(noise_norms[t])),
-            ]
-            fields.extend(repr(float(c)) for c in self.iterates[t])
-            lines.append(" ".join(fields))
+        # blocks of rows keep the temporary Python floats bounded
+        for start in range(0, self.steps, _LINE_BLOCK):
+            rows = slice(start, min(start + _LINE_BLOCK, self.steps))
+            indices = self.data_indices[rows].tolist()
+            values = np.column_stack(
+                (self.losses[rows], grad_norms[rows], noise_norms[rows], self.iterates[rows])
+            ).tolist()
+            for t, idx, row in zip(range(start, rows.stop), indices, values):
+                lines.append(" ".join(map(repr, (t, idx, *row))))
         return lines
 
 
@@ -199,16 +199,14 @@ def prgd_run(
     dim = model.parameter_dim
     rng = derive_rng(config.seed)
     data_indices = rng.integers(n, size=total)
-    if config.noise_radius > 0.0:
-        noises = sample_ball(BallSpec(dim, config.noise_radius), rng, total)
-    else:
-        noises = np.zeros((total, dim))
-
-    iterates = np.zeros((total + 1, dim))
-    gradients = np.zeros((total, dim))
-
     # overflow, invalid and divide all end in inf or nan, which the check reports
     with np.errstate(all="ignore"):
+        if config.noise_radius > 0.0:
+            noises = sample_ball(BallSpec(dim, config.noise_radius), rng, total)
+        else:
+            noises = np.zeros((total, dim))
+        iterates = np.zeros((total + 1, dim))
+        gradients = np.zeros((total, dim))
         for t, idx in enumerate(data_indices):
             grad = model.gradient(w, data.features[idx:idx + 1], data.labels[idx:idx + 1])[0]
             if config.clip_norm is not None:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from prgd import accountant
 from prgd.accountant import (
     DeltaReport,
     PrivacySpec,
@@ -128,7 +129,6 @@ class TestPerStepDelta:
         assert per_step_delta(PrivacySpec(d, 2e-200, 1, 1)) / 1e-200 == pytest.approx(near, rel=1e-12)
         assert per_step_delta(PrivacySpec(d, 2e-310, 1, 1)) > 0.0
 
-    @pytest.mark.xfail(strict=True, reason="log-beta cancellation at large d (ROADMAP 4a)")
     def test_monotone_across_the_switch_for_d_8699(self):
         """Both continued-fraction branches share the log-beta front factor,
         whose ~1e-11 error at d ≈ 10⁴ shows as a drop where they meet."""
@@ -137,6 +137,20 @@ class TestPerStepDelta:
         below = per_step_delta(PrivacySpec(8699, 2.0 * math.nextafter(s, 0.0), 1, 1))
         above = per_step_delta(PrivacySpec(8699, 2.0 * s, 1, 1))
         assert above >= below * (1.0 - 1e-12)
+
+    def test_matches_mpmath_below_the_branch_switch(self):
+        """Below z = (a+1)/(a+b+2) the direct continued fraction carries δ;
+        with the log-beta front factor free of cancellation it holds 1e-13
+        relative up to d = 10⁸."""
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(31)
+        dims = [10**8, 48_148_663, *(int(np.exp(rng.uniform(np.log(2.0), np.log(1e8)))) for _ in range(60))]
+        for d in dims:
+            b = 0.5 * (d + 1)
+            s = float(rng.uniform(0.01, 0.999)) * math.sqrt(1.5 / (b + 2.5))
+            with mpmath.workdps(40):
+                expected = float(mpmath.betainc(0.5, b, 0, mpmath.mpf(s) ** 2, regularized=True))
+            assert per_step_delta(PrivacySpec(d, 2.0 * s, 1, 1)) == pytest.approx(expected, rel=1e-13)
 
     def test_scaling_consistency(self):
         """δ(d, Δx, R) = δ(d, Δx/R, 1) for random triples."""
@@ -262,6 +276,15 @@ class TestDeltaCurve:
         rows = delta_curve([7], [0.8])
         assert rows == [(7, 0.8, per_step_delta(PrivacySpec(7, 0.8, 1, 1)))]
 
+    def test_rows_equal_per_step_delta_bitwise(self):
+        rng = np.random.default_rng(32)
+        for _ in range(40):
+            dims = [int(np.exp(rng.uniform(0.0, np.log(1e8)))) for _ in range(3)]
+            radius = float(10.0 ** rng.uniform(-2.0, 2.0))
+            grid = [0.0, 2.0 * radius, *(float(x) for x in rng.uniform(0.0, 2.0 * radius, 5))]
+            expected = [(d, dx, per_step_delta(PrivacySpec(d, dx, 1, 1, radius))) for d in dims for dx in grid]
+            assert delta_curve(dims, grid, radius) == expected
+
     def test_row_order(self):
         rows = delta_curve([1, 3], [1.0])
         assert rows[0][:2] == (1, 1.0) and rows[0][2] == 0.5
@@ -277,6 +300,37 @@ class TestDeltaCurve:
         with pytest.raises(ValueError):
             delta_curve([1], [2.5])
         assert delta_curve([1], [2.5], radius=2.0)[0][2] == 0.625
+
+
+class TestArgumentsCheckedOnce:
+    """Each accounting question checks its arguments once: one PrivacySpec
+    per radius_for_target call and one per dimension of delta_curve, never
+    one per δ evaluated."""
+
+    @pytest.fixture
+    def specs(self, monkeypatch):
+        built = []
+
+        def counting_spec(*args):
+            built.append(args)
+            return PrivacySpec(*args)
+
+        monkeypatch.setattr(accountant, "PrivacySpec", counting_spec)
+        return built
+
+    def test_one_spec_per_radius_solve(self, specs):
+        radius_for_target(1000, 0.3, 1e-9)
+        assert len(specs) == 1
+
+    def test_one_spec_per_curve_dimension(self, specs):
+        delta_curve([1, 7, 10**8], [0.0, 0.5, 1.0, 1.5])
+        assert len(specs) == 3
+
+    def test_the_one_check_still_rejects_a_bad_dimension(self):
+        with pytest.raises(ValueError, match="dimension must be a positive integer, got 0"):
+            radius_for_target(0, 1.0, 0.1)
+        with pytest.raises(ValueError, match="dimension must be a positive integer, got -2"):
+            delta_curve([3, -2], [0.5])
 
 
 class TestDeltaReport:

@@ -278,6 +278,21 @@ class TestRun:
         assert code == 0
         assert len((tmp_path / "t.trace").read_text().splitlines()) == 7
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--noise-radius", "inf"), ("--step-size", "inf"), ("--step-size", "nan"), ("--noise-radius", "nan"),
+    ])
+    def test_flag_is_checked_like_its_config_field(self, tmp_path, capsys, flag, value):
+        """A flag value that the config file could not hold is the same usage
+        error, naming the run field it overrides."""
+        config_path = tmp_path / "cfg.json"
+        write_config(config_path)
+        code, out, err = run_cli(["run", str(config_path), flag, value, "--trace", str(tmp_path / "t.trace")], capsys)
+        field = flag[2:].replace("-", "_")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: run.{field} must be a finite number, got {value}\n"
+        assert not (tmp_path / "t.trace").exists()
+
     def test_missing_field_names_the_field(self, tmp_path, capsys):
         config_path = tmp_path / "cfg.json"
         config = write_config(config_path)
@@ -481,6 +496,16 @@ class TestExitCodeContract:
         proc = run_module("run", str(config_path), "--trace", str(tmp_path / "t.trace"))
         assert proc.returncode == 1
         assert proc.stderr.decode().splitlines() == ["error: loss became non-finite at iteration 20"]
+
+    def test_overflowing_noise_draw_is_one_stderr_line(self, tmp_path):
+        """A radius whose ball draw overflows exits 1 with only the error
+        line: the draw runs under the loop's errstate, so numpy prints no
+        warning from the sampler."""
+        config_path = tmp_path / "cfg.json"
+        write_config(config_path)
+        proc = run_module("run", str(config_path), "--noise-radius", "1e308", "--trace", str(tmp_path / "t.trace"))
+        assert proc.returncode == 1
+        assert proc.stderr.decode().splitlines() == ["error: gradient became non-finite at iteration 1"]
 
     def test_help_available_for_each_subcommand(self):
         for command in ("account", "curve", "run", "validate"):

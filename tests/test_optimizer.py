@@ -446,6 +446,23 @@ class TestSerialization:
                 assert float(fields[4]) == np.linalg.norm(trace.noises[t])
                 np.testing.assert_array_equal([float(f) for f in fields[5:]], trace.iterates[t])
 
+    @pytest.mark.parametrize("block", [1, 7, 30, 10_000])
+    def test_blocks_match_the_per_field_loop(self, monkeypatch, block):
+        """Whole-row blocks give the text of one repr per field and row, at
+        every block size, across block boundaries and a short last block."""
+        monkeypatch.setattr(optimizer, "_LINE_BLOCK", block)
+        config = RunConfig(step_size=0.05, steps=30, noise_radius=0.5, seed=3)
+        trace = prgd_run(synthesize_dataset(9, 3, 0.1, 2), rank1_factorization(3), config, [0.1, 0.0, -0.1])
+        expected = [
+            " ".join([
+                str(t), str(int(trace.data_indices[t])), repr(float(trace.losses[t])),
+                repr(float(np.linalg.norm(trace.gradients[t]))), repr(float(np.linalg.norm(trace.noises[t]))),
+                *(repr(float(c)) for c in trace.iterates[t]),
+            ])
+            for t in range(trace.steps)
+        ]
+        assert trace.serialize_lines() == expected
+
 
 class TestEstimateSensitivity:
     def test_single_record_has_no_pairs(self):

@@ -7,6 +7,7 @@ which needs no continued fraction.
 """
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prgd.special import (
+    _STIRLING_MIN,
+    _log_beta,
     beta,
     reg_inc_beta,
     reg_inc_beta_derivative,
@@ -107,6 +110,32 @@ class TestBeta:
             beta(a, b)
 
 
+class TestLogBeta:
+    @pytest.mark.parametrize("a", [0.5, 1.5, 7.0])
+    def test_against_mpmath(self, a):
+        """Within 1e-14 of log B(a, b) for b from 1 to 5·10⁷, or within two
+        ulps where |log B| is so large (a = 7, b ≳ 10⁴) that 1e-14 is under
+        one. lgamma(a) + lgamma(b) − lgamma(a + b) is off by 3e-14 at
+        a = 1/2, b = 50 and by 3e-8 at b = 5·10⁷."""
+        mpmath = pytest.importorskip("mpmath")
+        shapes = np.unique(np.concatenate([np.arange(1.0, 60.0, 0.5), np.geomspace(1.0, 5e7, 300)]))
+        for b in map(float, shapes):
+            with mpmath.workdps(40):
+                expected = mpmath.log(mpmath.beta(a, b))
+            bound = max(1e-14, 2.0 * sys.float_info.epsilon * abs(float(expected)))
+            assert abs(float(_log_beta(a, b) - expected)) <= bound, b
+
+    def test_three_lgamma_form_below_the_stirling_switch(self):
+        for a in (0.5, 1.5, 7.0):
+            for b in np.arange(1.0, _STIRLING_MIN, 0.25):
+                assert _log_beta(a, b) == math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+
+    def test_symmetric(self):
+        rng = np.random.default_rng(9)
+        for a, b in 10.0 ** rng.uniform(-1.0, 8.0, (200, 2)):
+            assert _log_beta(a, b) == _log_beta(b, a)
+
+
 class TestRegIncBeta:
     def test_rejects_nonpositive_shapes(self):
         with pytest.raises(ValueError):
@@ -171,7 +200,6 @@ class TestRegIncBeta:
         z = 1.0 - (1.0 - z)
         assert reg_inc_beta(z, a, b) == pytest.approx(1.0 - reg_inc_beta(1.0 - z, b, a), abs=1e-12)
 
-    @pytest.mark.xfail(strict=True, reason="log-beta cancellation at large shapes (ROADMAP 4a)")
     def test_reflection_identity_at_the_switch_for_d_9803(self):
         """The accountant's shapes a = 1/2, b = (d+1)/2 at the switch point:
         lgamma(b) − lgamma(b + 1/2) loses ~1e-11 to cancellation at d ≈ 10⁴."""
