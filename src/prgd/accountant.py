@@ -84,7 +84,7 @@ def _delta(d: int, delta_x: float, radius: float) -> float:
         return 0.0
     if delta_x >= 2.0 * radius:
         return 1.0
-    s = delta_x / (2.0 * radius)
+    s = delta_x / radius * 0.5  # 2·radius would overflow past 8.99e307
     if d == 1:
         # I_{s²}(1/2, 1) = s; the closed form keeps the one-dimensional
         # contract δ = Δx/(2R) exact instead of within continued-fraction noise
@@ -117,9 +117,11 @@ def overall_delta(spec: PrivacySpec, provenance: str = "given") -> DeltaReport:
 def radius_for_target(d: int, delta_x: float, target_per_step_delta: float) -> float:
     """Noise radius achieving a requested per-step δ for given (d, delta_x).
 
-    δ is continuous and strictly decreasing in the radius — from 1 at
-    R = delta_x/2 toward 0 — so bisection always brackets. The bracket keeps
-    δ(lo) > target >= δ(hi), and ``hi`` is returned, so per_step_delta at the
+    δ is continuous and strictly decreasing in the radius, from 1 at
+    R = delta_x/2 toward 0, and δ(R) <= delta_x/(R·B(1/2, (d+1)/2)) because
+    (1 − u)^(b−1) <= 1 under the integral. The bracket's upper end solves that
+    bound for (1 − 1e-12)·target; the margin covers δ's rounding. The bisection
+    keeps δ(lo) > target >= δ(hi) and returns ``hi``, so per_step_delta at the
     returned radius never exceeds the target. It is within 1e-13 below it
     unless lo and hi became adjacent floats first. The radius exceeds
     delta_x/2.
@@ -130,18 +132,16 @@ def radius_for_target(d: int, delta_x: float, target_per_step_delta: float) -> f
         )
     if not delta_x > 0.0:
         raise ValueError(f"delta_x must be positive, got {delta_x}")
+    PrivacySpec(d, delta_x, 1, 1)  # checks d; every radius below is positive
     lo = 0.5 * delta_x  # δ = 1 here
-    hi = max(delta_x, 1.0)
-    PrivacySpec(d, delta_x, 1, 1, hi)  # checks d; every radius below is positive
-    while (value := _delta(d, delta_x, hi)) > target_per_step_delta:
-        lo = hi
-        hi *= 2.0
-        if hi > 1e300:
-            raise ConvergenceError(
-                f"failed to bracket radius for target {target_per_step_delta}"
-            )
+    hi = delta_x / ((1.0 - 1e-12) * beta(0.5, 0.5 * (d + 1))) / target_per_step_delta
+    if hi == float("inf"):
+        raise ConvergenceError(
+            f"no finite radius reaches target {target_per_step_delta} at delta_x {delta_x}"
+        )
+    value = _delta(d, delta_x, hi)
     while target_per_step_delta - value > _BISECT_TOL:
-        mid = 0.5 * (lo + hi)
+        mid = 0.5 * lo + 0.5 * hi
         if not lo < mid < hi:  # lo and hi are adjacent floats
             break
         mid_value = _delta(d, delta_x, mid)

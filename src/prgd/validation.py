@@ -30,6 +30,8 @@ from .rng import derive_rng
 WORKERS_ENV = "PRGD_MC_WORKERS"
 
 _CHUNK = 1 << 18
+_MAX_SAMPLES = 10**9  # keeps the chunk plan under 4000 entries
+_MAX_WORKERS = 64  # the pool may start one thread per worker
 _SURFACE_DISTANCE_TOL = 1e-9  # "distance exactly the radius" at double precision
 
 
@@ -58,8 +60,8 @@ def _worker_count() -> int:
     if raw is None:
         return 1
     count = int(raw)
-    if count < 1:
-        raise ValueError(f"{WORKERS_ENV} must be a positive integer, got {raw!r}")
+    if not 1 <= count <= _MAX_WORKERS:
+        raise ValueError(f"{WORKERS_ENV} must be an integer in [1, {_MAX_WORKERS}], got {raw!r}")
     return count
 
 
@@ -74,10 +76,14 @@ def _sum_over_chunks(count_chunk: Callable[[int, int], int], samples: int) -> in
     """Apply count_chunk(stream_index, chunk_size) to every chunk and sum.
 
     The chunk plan depends only on ``samples`` and each chunk derives its
-    own stream, so the total is identical for any worker count.
+    own stream, so the total is identical for any worker count. Both the
+    sample count and the worker count are bounded before any chunk or thread
+    exists.
     """
-    sizes = _chunk_sizes(samples)
+    if samples > _MAX_SAMPLES:
+        raise ValueError(f"samples must be at most {_MAX_SAMPLES}, got {samples}")
     workers = _worker_count()
+    sizes = _chunk_sizes(samples)
     if workers == 1:
         return sum(count_chunk(k, m) for k, m in enumerate(sizes))
     with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -18,6 +18,7 @@ from prgd.accountant import (
     radius_for_target,
 )
 from prgd.geometry import BallSpec, ball_volume, overlap_volume
+from prgd.special import ConvergenceError
 
 
 class TestPrivacySpec:
@@ -152,6 +153,32 @@ class TestPerStepDelta:
                 expected = float(mpmath.betainc(0.5, b, 0, mpmath.mpf(s) ** 2, regularized=True))
             assert per_step_delta(PrivacySpec(d, 2.0 * s, 1, 1)) == pytest.approx(expected, rel=1e-13)
 
+    @pytest.mark.parametrize("d", [48_148_663, 10**8])
+    def test_matches_mpmath_past_the_old_branch_switch(self, d):
+        """At b·z in [1, 8] the switch z = (a+1)/(a+b+2) sent δ to the
+        complementary branch, whose 1 − z rounds z away: 7.2e-10 relative at
+        d = 10⁸. The direct fraction now carries it to 1e-12."""
+        mpmath = pytest.importorskip("mpmath")
+        b = 0.5 * (d + 1)
+        for bz in np.geomspace(1.0, 8.0, 25):
+            s = math.sqrt(bz / b)
+            with mpmath.workdps(40):
+                expected = float(mpmath.betainc(0.5, b, 0, mpmath.mpf(s) ** 2, regularized=True))
+            assert per_step_delta(PrivacySpec(d, 2.0 * s, 1, 1)) == pytest.approx(expected, rel=1e-12)
+
+    def test_scale_free_up_to_the_largest_floats(self):
+        """δ(d, c·Δx, c·R) = δ(d, Δx, R) bitwise for c = 2^k, k ≤ 1020; the
+        form Δx/(2R) overflowed 2R and gave δ = 0 at Δx = R = 1e308."""
+        rng = np.random.default_rng(8)
+        for _ in range(300):
+            d = int(np.exp(rng.uniform(0.0, np.log(1e8))))
+            dx = float(rng.uniform(0.01, 2.0))
+            radius = float(rng.uniform(0.5 * dx, 4.0))
+            c = 2.0 ** int(rng.integers(0, 1021))
+            expected = per_step_delta(PrivacySpec(d, dx, 1, 1, radius))
+            assert per_step_delta(PrivacySpec(d, c * dx, 1, 1, c * radius)) == expected
+        assert per_step_delta(PrivacySpec(3, 1e308, 1, 1, 1e308)) == per_step_delta(PrivacySpec(3, 1.0, 1, 1))
+
     def test_scaling_consistency(self):
         """δ(d, Δx, R) = δ(d, Δx/R, 1) for random triples."""
         rng = np.random.default_rng(6)
@@ -258,6 +285,75 @@ class TestRadiusForTarget:
             target = 10.0 ** -float(rng.uniform(3.0, 15.0))
             achieved = per_step_delta(PrivacySpec(d, dx, 1, 1, radius_for_target(d, dx, target)))
             assert target - 1e-13 <= achieved <= target
+
+    def test_bracket_bound_property(self):
+        """Over 2000 cases with d up to 10⁸ and targets 1e-15 .. 0.99: δ at
+        the solved radius never exceeds the target, is within 1e-13 below
+        it, and below a target of 1e-13 within 1e-11 relative. A doubling
+        bracket returned as little as 0.5·t there."""
+        rng = np.random.default_rng(23)
+        for _ in range(2000):
+            d = int(np.exp(rng.uniform(0.0, np.log(1e8))))
+            dx = float(rng.uniform(0.01, 10.0))
+            target = float(np.exp(rng.uniform(np.log(1e-15), np.log(0.99))))
+            achieved = per_step_delta(PrivacySpec(d, dx, 1, 1, radius_for_target(d, dx, target)))
+            assert achieved <= target
+            if target >= 1e-13:
+                assert achieved >= target - 1e-13
+            else:
+                assert achieved >= target * (1.0 - 1e-11)
+
+    def test_tiny_target_radius_is_not_doubled(self):
+        """d = 1, Δx = 0.734, t = 1.04e-14 needs R = Δx/(2t) = 3.5288e13; a
+        doubling bracket returned 7.04e13, where δ = 0.50·t."""
+        radius = radius_for_target(1, 0.734, 1.04e-14)
+        assert radius == pytest.approx(0.734 / (2.0 * 1.04e-14), rel=1e-11)
+        assert 1.04e-14 * (1.0 - 1e-11) <= per_step_delta(PrivacySpec(1, 0.734, 1, 1, radius)) <= 1.04e-14
+
+    def test_few_delta_evaluations_per_solve(self, monkeypatch):
+        """The closed-form bracket starts next to the answer: at most 12 δ
+        evaluations per solve on average for targets 1e-3 .. 1e-15, where a
+        doubling bracket took about 47."""
+        calls = []
+        kernel = accountant._delta
+
+        def counting_delta(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(accountant, "_delta", counting_delta)
+        rng = np.random.default_rng(41)
+        pool = [
+            (int(np.exp(rng.uniform(0.0, np.log(1e8)))), float(np.exp(rng.uniform(np.log(0.01), np.log(2.0)))), 10.0**-e)
+            for e in range(3, 16)
+            for _ in range(8)
+        ]
+        for d, dx, target in pool:
+            radius_for_target(d, dx, target)
+        assert len(calls) / len(pool) <= 12.0
+
+    def test_scales_with_the_sensitivity_up_to_the_largest_floats(self):
+        """radius_for_target(d, c·Δx, t) = c·radius_for_target(d, Δx, t) for
+        c = 2^k, k ≤ 1020, wherever c·R is finite. A midpoint (lo + hi)/2
+        overflowed, and a doubling bracket failed at Δx = 2^1000."""
+        rng = np.random.default_rng(24)
+        checked = 0
+        for _ in range(300):
+            d = int(np.exp(rng.uniform(0.0, np.log(1e8))))
+            dx = float(rng.uniform(0.01, 2.0))
+            target = float(np.exp(rng.uniform(np.log(1e-15), np.log(0.99))))
+            c = 2.0 ** int(rng.integers(0, 1021))
+            radius = radius_for_target(d, dx, target)
+            if math.isfinite(c * radius):
+                assert radius_for_target(d, c * dx, target) == c * radius
+                checked += 1
+        assert checked >= 250
+        radius = radius_for_target(3, 1e308, 0.5)
+        assert per_step_delta(PrivacySpec(3, 1e308, 1, 1, radius)) <= 0.5
+
+    def test_no_finite_radius_raises(self):
+        with pytest.raises(ConvergenceError, match="no finite radius"):
+            radius_for_target(3, 1e308, 1e-15)
 
     def test_rejects_degenerate_targets(self):
         for target in (0.0, 1.0, -0.1, 1.5):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prgd import cli, optimizer
+from prgd import cli, optimizer, validation
 from prgd.accountant import PrivacySpec, per_step_delta
 from prgd.optimizer import least_squares, synthesize_dataset
 
@@ -413,6 +413,30 @@ class TestValidateCommand:
         assert code == 0
         case_lines = [line for line in out.splitlines() if line.startswith("surface ")]
         assert len(case_lines) == 8
+
+    @pytest.mark.parametrize(
+        "args, workers",
+        [
+            (["--suite", "tv", "--samples", str(10**15)], None),
+            (["--suite", "all", "--samples", str(10**9 + 1)], None),
+            (["--suite", "surface", "--samples", "1000"], "65"),
+        ],
+    )
+    def test_unbounded_monte_carlo_is_a_usage_error(self, capsys, monkeypatch, args, workers):
+        """Too many samples or workers exits 2 with one error line, before
+        any chunk plan or thread pool is built."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a chunk plan or a pool was built")
+
+        monkeypatch.setattr(validation, "_chunk_sizes", refuse)
+        monkeypatch.setattr(validation, "ThreadPoolExecutor", refuse)
+        if workers is not None:
+            monkeypatch.setenv(validation.WORKERS_ENV, workers)
+        code, out, err = run_cli(["validate", *args], capsys)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
     def test_failure_exits_one(self, capsys, monkeypatch):
         monkeypatch.setitem(

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from prgd.special import (
     _STIRLING_MIN,
+    _SWITCH_K,
     _log_beta,
     beta,
     reg_inc_beta,
@@ -205,6 +206,15 @@ class TestRegIncBeta:
         lgamma(b) − lgamma(b + 1/2) loses ~1e-11 to cancellation at d ≈ 10⁴."""
         a, b = 0.5, 0.5 * 9804
         z = 1.0 - (1.0 - (a + 1.0) / (a + b + 2.0))
+        assert reg_inc_beta(z, a, b) == pytest.approx(1.0 - reg_inc_beta(1.0 - z, b, a), abs=1e-12)
+
+    @pytest.mark.parametrize("d", [9803, 10**6, 48_148_663, 10**8])
+    def test_reflection_identity_at_the_switch_for_large_d(self, d):
+        """At z = (a+K)/(a+b+2K) the two sides of the identity evaluate
+        complementary fractions, so it checks their accuracy where the
+        accountant's shapes a = 1/2, b = (d+1)/2 change branch."""
+        a, b = 0.5, 0.5 * (d + 1)
+        z = 1.0 - (1.0 - (a + _SWITCH_K) / (a + b + 2.0 * _SWITCH_K))
         assert reg_inc_beta(z, a, b) == pytest.approx(1.0 - reg_inc_beta(1.0 - z, b, a), abs=1e-12)
 
     def test_monotone_in_z(self):

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from prgd import validation
 from prgd.accountant import PrivacySpec, per_step_delta
 from prgd.optimizer import LossModel, least_squares, scalar_factorization
 from prgd.validation import (
@@ -70,6 +71,58 @@ class TestMcTvDistance:
             mc_tv_distance(2, -1.0, 1.0, 100, 0)
         with pytest.raises(ValueError):
             mc_tv_distance(2, 1.0, 1.0, 0, 0)
+
+
+class TestBoundedInputs:
+    """More than 10⁹ samples or 64 workers is rejected before any chunk
+    plan or thread pool exists. Stand-ins for both record what was built and
+    the rejected calls must build neither, so no test here starts those
+    threads or builds that list."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Records each chunk plan and pool asked for; a plan is one
+        five-row chunk and a pool maps in this thread."""
+        log = []
+
+        def chunk_sizes(samples):
+            log.append(("plan", samples))
+            return [5]
+
+        class Pool:
+            def __init__(self, max_workers):
+                log.append(("pool", max_workers))
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(validation, "_chunk_sizes", chunk_sizes)
+        monkeypatch.setattr(validation, "ThreadPoolExecutor", Pool)
+        return log
+
+    def test_rejects_more_than_a_billion_samples(self, built):
+        with pytest.raises(ValueError, match="samples must be at most 1000000000"):
+            mc_tv_distance(2, 1.0, 1.0, 10**15, 0)
+        with pytest.raises(ValueError, match="samples must be at most 1000000000"):
+            surface_noise_distinguisher(2, 1.0, 10**9 + 1, 0)
+        assert built == []
+        mc_tv_distance(2, 1.0, 1.0, 10**9, 0)
+        assert built == [("plan", 10**9)]
+
+    def test_rejects_more_than_64_workers(self, built, monkeypatch):
+        monkeypatch.setenv(WORKERS_ENV, "65")
+        with pytest.raises(ValueError, match=WORKERS_ENV):
+            mc_tv_distance(2, 1.0, 1.0, 1000, 0)
+        assert built == []
+        monkeypatch.setenv(WORKERS_ENV, "64")
+        mc_tv_distance(2, 1.0, 1.0, 1000, 0)
+        assert built == [("plan", 1000), ("pool", 64)]
 
 
 class TestClosedFormOverlapCheck:
