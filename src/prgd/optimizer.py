@@ -23,6 +23,7 @@ from .rng import derive_rng
 
 _SLACK = 1e-12  # relative slack on the pruning bounds of the sensitivity scan
 _BLOCK_ENTRIES = 1 << 20  # distances per row block of the scan (8 MB)
+_TABLE_ENTRIES = 1 << 14  # loss values or gradient entries per block of points (128 KB)
 _LINE_BLOCK = 10_000  # trace rows formatted per block
 
 
@@ -67,11 +68,18 @@ class Dataset:
 class LossModel:
     """A per-example loss with its gradient in parameter space.
 
-    For k records, features (k, feature_dim) and labels (k,),
-    ``value(w, features, labels)`` returns the k losses at w, shape (k,),
-    and ``gradient(w, features, labels)`` their gradients, shape
-    (k, parameter_dim). The loop calls them on one-row slices. The gradient
-    must match the value under finite differences (see validation.grad_check).
+    Both functions broadcast over points. For points ``w`` of shape
+    (..., parameter_dim) and k records, features (k, feature_dim) and
+    labels (k,), ``value(w, features, labels)`` returns shape (..., k) and
+    ``gradient(w, features, labels)`` shape (..., k, parameter_dim): each
+    leading index of w is one point, evaluated on all k records. A 1-D w
+    gives shapes (k,) and (k, parameter_dim). Evaluating a stack of points
+    must give, row for row, the values of evaluating each point alone.
+
+    The loop calls ``gradient`` at one point on one-row slices; the recorded
+    losses and the sensitivity scan call them on blocks of points over the
+    whole dataset. The gradient must match the value under finite
+    differences (see validation.grad_check).
     """
 
     name: str
@@ -185,11 +193,12 @@ def prgd_run(
     when clipping is on (certified), else the empirical pairwise bound over
     the visited iterates.
 
-    The loop only descends. The full-data losses at all T+1 iterates are
-    computed in one pass after it, and then one check raises
-    DivergenceError with the first iteration whose gradient or loss is not
-    finite (the gradient of step t counts before its loss). A diverging run
-    therefore finishes its T steps in inf/nan before it raises.
+    The loop only descends. After it, the full-data losses at all T+1
+    iterates are computed by broadcast ``model.value`` calls on blocks of
+    iterates, each block checked as it is filled: DivergenceError names the
+    first iteration whose gradient or loss is not finite (the gradient of
+    step t counts before its loss). A diverging run therefore finishes its T
+    steps in inf/nan before it raises.
     """
     w = np.array(initial_w, dtype=float)
     if w.shape != (model.parameter_dim,):
@@ -219,18 +228,21 @@ def prgd_run(
             gradients[t] = grad
             w = w - config.step_size * (grad + noises[t])
         iterates[total] = w
-        losses = np.fromiter(
-            (np.mean(model.value(v, data.features, data.labels)) for v in iterates), float, total + 1
-        )
-
-    # the first step with a non-finite gradient row, and with a non-finite
-    # loss; the appended False makes T+1 mean none (step T has no gradient)
-    gradient_step = int(np.append(np.isfinite(gradients).all(axis=1), [True, False]).argmin())
-    loss_step = int(np.append(np.isfinite(losses), False).argmin())
-    step = min(gradient_step, loss_step)
-    if step <= total:
-        # a step's gradient is taken before its loss
-        raise DivergenceError(step, "gradient" if gradient_step == step else "loss")
+        losses = np.empty(total + 1)
+        block = max(1, _TABLE_ENTRIES // n)
+        for start in range(0, total + 1, block):
+            rows = slice(start, start + block)
+            losses[rows] = np.mean(model.value(iterates[rows], data.features, data.labels), axis=1)
+            if np.isfinite(gradients[rows]).all() and np.isfinite(losses[rows]).all():
+                continue
+            # the block's first step with a non-finite gradient row, and with a
+            # non-finite loss; past the block means none (step T has no gradient)
+            gradient_ok = np.isfinite(gradients[rows]).all(axis=1)
+            gradient_step = np.append(gradient_ok, [True, False]).argmin()
+            loss_step = np.append(np.isfinite(losses[rows]), False).argmin()
+            step = start + int(min(gradient_step, loss_step))
+            # a step's gradient is taken before its loss
+            raise DivergenceError(step, "gradient" if gradient_step <= loss_step else "loss")
 
     if sensitivity is not None:
         provenance = "given"
@@ -261,50 +273,75 @@ def estimate_sensitivity(
     covers only the probed points.
 
     The value is exact up to rounding in its last bits, but most pairs are
-    never formed. A probe equal to its predecessor is skipped. A probe whose
-    gradients all lie within half the running maximum of their mean cannot
-    raise it, and costs one gradient table. Within a probe, the triangle
-    inequality through the mean rules out rows too close to it, and the
-    remaining pairs are swept in row blocks of at most ``_BLOCK_ENTRIES``
-    distances. Memory is O(N·p + _BLOCK_ENTRIES) for N records and p
-    parameters, never N×N. Time is O(N·p) per probe when pruning works; when
-    no row can be ruled out (every gradient equally far from the mean, as on
-    a sphere) the k surviving rows still cost O(k²·p).
+    never formed. A probe equal to its predecessor is skipped. The others
+    are taken in blocks of at most ``_TABLE_ENTRIES`` gradient entries, one
+    broadcast ``model.gradient`` call per block. One vectorized pass per
+    block finds each probe's distances from its mean gradient (its radii)
+    and, from its farthest row, one real pair distance. A probe whose
+    gradients all lie within half of a known distance of their mean cannot
+    raise the maximum and is dismissed there. The rest are swept in order:
+    the triangle inequality through the mean rules out rows too close to
+    it, and the remaining pairs are compared in row blocks of at most
+    ``_BLOCK_ENTRIES`` distances. Memory is O(N·p + _TABLE_ENTRIES +
+    _BLOCK_ENTRIES) for N records and p parameters, never N×N. Time is
+    O(N·p) per probe when pruning works; when no row can be ruled out (every
+    gradient equally far from the mean, as on a sphere) the k surviving rows
+    still cost O(k²·p).
 
-    Raises DivergenceError with the probe's index if a gradient table is
-    not finite.
+    Raises DivergenceError with the index of the first probe whose gradient
+    table is not finite.
     """
     # an array of iterates (up to the 10⁸-element size bound) is read in place
     probes = np.asarray(w_list if isinstance(w_list, np.ndarray) else list(w_list), dtype=float)
-    if probes.ndim != 2 or len(probes) == 0:
+    if probes.ndim != 2 or probes.size == 0:
         raise ValueError("need at least one probe point, each a parameter vector")
-    fresh = np.ones(len(probes), dtype=bool)
-    fresh[1:] = np.any(probes[1:] != probes[:-1], axis=1)
+    n = len(data)
+    block = max(1, _TABLE_ENTRIES // (n * probes.shape[1]))
     worst = 0.0
-    for k in np.flatnonzero(fresh):
-        table = np.asarray(model.gradient(probes[k], data.features, data.labels), dtype=float)
-        if not np.isfinite(table).all():
-            raise DivergenceError(int(k), "gradient")
-        worst = _max_pairwise_distance(table, worst)
+    previous = np.full((1, probes.shape[1]), np.nan)  # probe 0 has no predecessor
+    for start in range(0, len(probes), block):
+        points = probes[start:start + block]
+        # a probe equal to its predecessor is skipped
+        changed = np.any(points != np.concatenate((previous, points[:-1])), axis=1)
+        ks = start + np.flatnonzero(changed)
+        previous = points[-1:]
+        if len(ks) == 0:
+            continue
+        tables = np.asarray(model.gradient(probes[ks], data.features, data.labels), dtype=float)
+        finite = np.isfinite(tables).all(axis=(1, 2))
+        if not finite.all():
+            raise DivergenceError(int(ks[finite.argmin()]), "gradient")
+        squared_radii = _squared_norms(tables - tables.sum(axis=1, keepdims=True) / n)
+        # ‖gᵢ − gⱼ‖ ≤ rᵢ + rⱼ around the mean; every skip test carries the
+        # relative slack, so rounding can only add pairs, never drop one that wins
+        tops = np.sqrt(squared_radii.max(axis=1)) * (1.0 + _SLACK)
+        if not (2.0 * tops > worst).any():
+            continue  # the running maximum dismisses the whole block
+        far = tables[np.arange(len(ks)), squared_radii.argmax(axis=1)]
+        lowers = np.sqrt(_squared_norms(tables - far[:, np.newaxis]).max(axis=1))
+        # a probe is dismissed against the running maximum and the distances
+        # found from the farthest rows of the probes before it in the block
+        known = worst
+        for j, (top, lower) in enumerate(zip(tops.tolist(), lowers.tolist())):
+            if 2.0 * top > max(known, worst):
+                radii = np.sqrt(squared_radii[j]) * (1.0 + _SLACK)
+                worst = _sweep(tables[j], radii, top, max(worst, lower))
+            known = max(known, lower)
+        # every distance a probe was dismissed against is in the result
+        worst = max(worst, known)
     return worst
 
 
-def _max_pairwise_distance(rows: np.ndarray, floor: float) -> float:
-    """max(floor, largest distance between two rows), pairs at most
-    ``floor`` apart left unformed."""
-    if len(rows) < 2:
-        return floor
-    offsets = rows - rows.sum(axis=0) / len(rows)
-    squared_radii = np.einsum("ij,ij->i", offsets, offsets)
-    far = int(squared_radii.argmax())
-    # ‖gᵢ − gⱼ‖ ≤ rᵢ + rⱼ around the mean; every skip test carries the
-    # relative slack, so rounding can only add pairs, never drop one that wins
-    top = math.sqrt(squared_radii[far]) * (1.0 + _SLACK)
-    if 2.0 * top <= floor:
-        return floor
-    gaps = rows - rows[far]
-    best = max(floor, math.sqrt(np.einsum("ij,ij->i", gaps, gaps).max()))
-    radii = np.sqrt(squared_radii) * (1.0 + _SLACK)
+def _squared_norms(rows: np.ndarray) -> np.ndarray:
+    """Squared norm of every row of a block of tables, shape (B, N) for
+    (B, N, p). Passed as a temporary, the rows are freed before the sweep."""
+    return np.einsum("bij,bij->bi", rows, rows)
+
+
+def _sweep(rows: np.ndarray, radii: np.ndarray, top: float, best: float) -> float:
+    """max(best, largest distance between two rows), pairs that cannot
+    exceed ``best`` left unformed; ``radii`` are the rows' slackened
+    distances from their mean and ``top`` the largest of them."""
     # only a row with rᵢ + R > best can end a longer pair
     candidates = np.flatnonzero(radii > best - top)
     candidates = candidates[np.argsort(-radii[candidates], kind="stable")]
@@ -327,6 +364,14 @@ def _max_pairwise_distance(rows: np.ndarray, floor: float) -> float:
     return best
 
 
+def _inner(w: np.ndarray, features: np.ndarray) -> np.ndarray:
+    """x·w for every point and every record: shape (..., k, 1) for w of shape
+    (..., p). Each point's (k, p) @ (p, 1) product is ``features @ w`` at
+    that point to the last bit; einsum or one (B, p) @ (p, k) product for
+    all points rounds differently, and would change the recorded losses."""
+    return features @ w[..., np.newaxis]
+
+
 def least_squares(feature_dim: int) -> LossModel:
     """Squared error of a linear predictor: ℓ(w; x, y) = (y − w·x)².
 
@@ -337,11 +382,11 @@ def least_squares(feature_dim: int) -> LossModel:
         raise ValueError(f"feature_dim must be positive, got {feature_dim}")
 
     def value(w, features, labels):
-        r = labels - features @ w
+        r = labels - _inner(w, features)[..., 0]
         return r * r
 
     def gradient(w, features, labels):
-        return -2.0 * (labels - features @ w)[:, np.newaxis] * features
+        return -2.0 * (labels[:, np.newaxis] - _inner(w, features)) * features
 
     return LossModel("least_squares", int(feature_dim), value, gradient)
 
@@ -357,13 +402,13 @@ def scalar_factorization(feature_dim: int = 1) -> LossModel:
         raise ValueError("scalar_factorization requires scalar features (feature_dim=1)")
 
     def value(w, features, labels):
-        r = labels - w[0] * w[1] * features[:, 0]
+        r = labels - w[..., :1] * w[..., 1:] * features[:, 0]
         return r * r
 
     def gradient(w, features, labels):
-        r = labels - w[0] * w[1] * features[:, 0]
+        r = labels - w[..., :1] * w[..., 1:] * features[:, 0]
         # row i is (−2rᵢ·v·xᵢ, −2rᵢ·u·xᵢ), multiplied left to right
-        return (-2.0 * r)[:, np.newaxis] * w[::-1] * features
+        return (-2.0 * r)[..., np.newaxis] * w[..., np.newaxis, ::-1] * features
 
     return LossModel("scalar_factorization", 2, value, gradient)
 
@@ -379,15 +424,16 @@ def rank1_factorization(feature_dim: int) -> LossModel:
         raise ValueError(f"feature_dim must be positive, got {feature_dim}")
 
     def value(w, features, labels):
-        xw = features @ w
+        xw = _inner(w, features)[..., 0]
         xx = np.einsum("ij,ij->i", features, features)
-        ww = w @ w
+        # vecdot is w @ w to the last bit, one point at a time
+        ww = np.vecdot(w, w)[..., np.newaxis]
         return labels * labels * xx * xx - 2.0 * labels * xw * xw + ww * ww
 
     def gradient(w, features, labels):
-        xw = features @ w
-        ww = w @ w
-        return 4.0 * (ww * w[np.newaxis, :] - (labels * xw)[:, np.newaxis] * features)
+        xw = _inner(w, features)
+        ww = np.vecdot(w, w)[..., np.newaxis, np.newaxis]
+        return 4.0 * (ww * w[..., np.newaxis, :] - labels[:, np.newaxis] * xw * features)
 
     return LossModel("rank1_factorization", int(feature_dim), value, gradient)
 

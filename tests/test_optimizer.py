@@ -31,8 +31,8 @@ def linear_loss(dim):
     """ℓ(w; x, y) = w·x, whose gradient is the record's features x."""
     return LossModel(
         "linear", dim,
-        lambda w, features, labels: features @ w,
-        lambda w, features, labels: features,
+        lambda w, features, labels: w @ features.T,
+        lambda w, features, labels: np.broadcast_to(features, np.shape(w)[:-1] + features.shape),
     )
 
 
@@ -41,8 +41,8 @@ def stretch_loss(dim):
     features stretched coordinate-wise by the probe point."""
     return LossModel(
         "stretch", dim,
-        lambda w, features, labels: 0.5 * features @ (w * w),
-        lambda w, features, labels: features * w,
+        lambda w, features, labels: (w * w) @ (0.5 * features).T,
+        lambda w, features, labels: features * w[..., np.newaxis, :],
     )
 
 
@@ -178,6 +178,70 @@ class TestBuiltinLosses:
                       - model.value(w - step, data.features, data.labels)) / (2.0 * h)
                 np.testing.assert_allclose(grads[:, k], fd, rtol=1e-6, atol=1e-6)
 
+    # one-point reference forms (x @ w, w @ w); the built-ins must match them
+    # to the last bit, or the loop's one-row steps and the traces would change
+    ONE_POINT = {
+        "least_squares": (
+            lambda w, x, y: (y - x @ w) * (y - x @ w),
+            lambda w, x, y: -2.0 * (y - x @ w)[:, np.newaxis] * x,
+        ),
+        "scalar_factorization": (
+            lambda w, x, y: (y - w[0] * w[1] * x[:, 0]) * (y - w[0] * w[1] * x[:, 0]),
+            lambda w, x, y: (-2.0 * (y - w[0] * w[1] * x[:, 0]))[:, np.newaxis] * w[::-1] * x,
+        ),
+        "rank1_factorization": (
+            lambda w, x, y: (y * y * np.einsum("ij,ij->i", x, x) * np.einsum("ij,ij->i", x, x)
+                             - 2.0 * y * (x @ w) * (x @ w) + (w @ w) * (w @ w)),
+            lambda w, x, y: 4.0 * ((w @ w) * w[np.newaxis, :] - (y * (x @ w))[:, np.newaxis] * x),
+        ),
+    }
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("name,dim", [
+        ("least_squares", 1), ("least_squares", 2), ("least_squares", 3),
+        ("least_squares", 8), ("least_squares", 16), ("scalar_factorization", 1),
+        ("rank1_factorization", 1), ("rank1_factorization", 2), ("rank1_factorization", 3),
+        ("rank1_factorization", 8), ("rank1_factorization", 16),
+    ])
+    def test_broadcast_over_points_is_bitwise_pointwise(self, name, dim, seed):
+        """value and gradient at a stack of points equal, row for row and to
+        the last bit, the calls at each point alone; at one point, on the
+        whole dataset and on one-row slices, they equal the one-point
+        formulas."""
+        rng = np.random.default_rng(seed)
+        model = builtin_losses()[name](dim)
+        p = model.parameter_dim
+        n = int(rng.integers(1, 300))
+        features = rng.standard_normal((n, dim)) * 10.0 ** rng.uniform(-3, 3)
+        labels = rng.standard_normal(n)
+        points = rng.standard_normal((int(rng.integers(1, 40)), p)) * 10.0 ** rng.uniform(-3, 3, (1, 1))
+        values = model.value(points, features, labels)
+        gradients = model.gradient(points, features, labels)
+        assert values.shape == (len(points), n)
+        assert gradients.shape == (len(points), n, p)
+        value_at, gradient_at = self.ONE_POINT[name]
+        for w, value, gradient in zip(points, values, gradients, strict=True):
+            np.testing.assert_array_equal(value, model.value(w, features, labels), strict=True)
+            np.testing.assert_array_equal(gradient, model.gradient(w, features, labels), strict=True)
+            np.testing.assert_array_equal(value, value_at(w, features, labels), strict=True)
+            np.testing.assert_array_equal(gradient, gradient_at(w, features, labels), strict=True)
+            for i in rng.integers(0, n, 4):
+                rows = slice(i, i + 1)
+                np.testing.assert_array_equal(
+                    model.gradient(w, features[rows], labels[rows]),
+                    gradient_at(w, features[rows], labels[rows]), strict=True,
+                )
+                np.testing.assert_array_equal(
+                    model.value(w, features[rows], labels[rows]),
+                    value_at(w, features[rows], labels[rows]), strict=True,
+                )
+        # any number of leading axes, each index one point
+        grid = points[: len(points) // 2 * 2].reshape(2, -1, p)
+        np.testing.assert_array_equal(model.value(grid, features, labels).reshape(-1, n),
+                                      values[: grid.shape[0] * grid.shape[1]])
+        np.testing.assert_array_equal(model.gradient(grid, features, labels).reshape(-1, n, p),
+                                      gradients[: grid.shape[0] * grid.shape[1]])
+
 
 class TestRunConfig:
     def test_rejects_zero_steps(self):
@@ -269,22 +333,27 @@ class TestPrgdRun:
         assert isinstance(trace.final_loss, float)
 
     def test_losses_are_evaluated_after_the_descent(self):
-        """Every one-row gradient call comes before the first loss call, and
-        the loss calls see the whole dataset once per iterate."""
+        """Every one-row gradient call, at one point, comes before the first
+        loss call; the loss calls take blocks of iterates on the whole
+        dataset and cover each of the 31 iterates once, in order."""
         calls = []
 
         def value(w, features, labels):
-            calls.append(("value", len(labels)))
+            calls.append(("value", w.copy(), len(labels)))
             return self.model.value(w, features, labels)
 
         def gradient(w, features, labels):
-            calls.append(("gradient", len(labels)))
+            calls.append(("gradient", np.shape(w), len(labels)))
             return self.model.gradient(w, features, labels)
 
         config = RunConfig(step_size=0.01, steps=30, noise_radius=0.2, seed=1)
         trace = prgd_run(self.data, LossModel("logged", 2, value, gradient), config, np.zeros(2),
                          sensitivity=0.1)
-        assert calls == [("gradient", 1)] * 30 + [("value", 15)] * 31
+        assert calls[:30] == [("gradient", (2,), 1)] * 30
+        blocks = calls[30:]
+        assert 1 <= len(blocks) < 31
+        assert all(kind == "value" and points.ndim == 2 and k == 15 for kind, points, k in blocks)
+        np.testing.assert_array_equal(np.concatenate([points for _, points, _ in blocks]), trace.iterates)
         reference = prgd_run(self.data, self.model, config, np.zeros(2), sensitivity=0.1)
         assert trace.serialize_lines() == reference.serialize_lines()
 
@@ -297,10 +366,11 @@ class TestPrgdRun:
         """From w₀ = 0 with gradient 1 and η = 1 the iterates are wₜ = −t;
         the gradient and/or loss turn nan once w < −2.5, first at step 3."""
         def value(w, features, labels):
-            return np.full(len(labels), np.nan if bad_loss and w[0] < -2.5 else 0.0)
+            return np.where(bad_loss & (w[..., :1] < -2.5), np.nan, np.zeros(len(labels)))
 
         def gradient(w, features, labels):
-            return np.full((len(labels), 1), np.nan if bad_gradient and w[0] < -2.5 else 1.0)
+            bad = bad_gradient & (w[..., np.newaxis, :1] < -2.5)
+            return np.where(bad, np.nan, np.ones((len(labels), 1)))
 
         config = RunConfig(step_size=1.0, steps=6, noise_radius=0.0)
         with pytest.raises(DivergenceError) as err:
@@ -340,8 +410,8 @@ class TestPrgdRun:
         """Over 10⁶ steps with N=10, each record is drawn 10⁵ ± 3·√(10⁶·0.09)."""
         zero = LossModel(
             "zero", 1,
-            lambda w, features, labels: np.zeros(len(labels)),
-            lambda w, features, labels: np.zeros((len(labels), 1)),
+            lambda w, features, labels: np.zeros(np.shape(w)[:-1] + labels.shape),
+            lambda w, features, labels: np.zeros(np.shape(w)[:-1] + (len(labels), 1)),
         )
         data = Dataset(np.zeros((10, 1)), np.zeros(10))
         config = RunConfig(step_size=1.0, steps=1_000_000, noise_radius=0.0, clip_norm=1.0, seed=123)
@@ -574,7 +644,8 @@ class TestEstimateSensitivity:
 
         def gradient(w, features, labels):
             nonlocal full_tables
-            full_tables += len(labels) == len(data)
+            # one table per point of a broadcast call
+            full_tables += (len(labels) == len(data)) * math.prod(np.shape(w)[:-1])
             return model.gradient(w, features, labels)
 
         counting = LossModel(model.name, model.parameter_dim, model.value, gradient)
@@ -599,6 +670,32 @@ class TestEstimateSensitivity:
             tracemalloc.stop()
         assert peak < 64 * 2**20
         assert 1.9 < got <= 2.0
+
+    def test_scan_and_loss_pass_memory_is_flat_in_steps(self):
+        """The saddle config with the sensitivity measured, at T = 2·10⁴ and
+        2·10⁵. Tracing starts at the first loss call, after the loop, so the
+        trace arrays allocated before it are not counted: what is left is
+        the loss pass and the scan, in blocks whose size does not depend on
+        T."""
+        data = synthesize_dataset(40, 1, 0.0, 11)
+        model = scalar_factorization(1)
+
+        def value(w, features, labels):
+            if not tracemalloc.is_tracing():
+                tracemalloc.start()
+            return model.value(w, features, labels)
+
+        traced = LossModel(model.name, model.parameter_dim, value, model.gradient)
+        peaks = []
+        for steps in (20_000, 200_000):
+            config = RunConfig(step_size=0.01, steps=steps, noise_radius=1.0, seed=3)
+            try:
+                trace = prgd_run(data, traced, config, np.zeros(2))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert trace.report.sensitivity_provenance == "empirical"
+        assert peaks[1] <= peaks[0] + 64 * 2**10
 
     def test_unclipped_run_with_1e5_records_stays_small(self):
         """N = 10⁵ records, the shape at which the N × N scan asked for 75 GiB."""

@@ -181,8 +181,8 @@ class TestGradCheck:
     def test_constant_loss_is_exact(self):
         constant = LossModel(
             "constant", 2,
-            lambda w, features, labels: np.full(len(labels), 1.25),
-            lambda w, features, labels: np.zeros((len(labels), 2)),
+            lambda w, features, labels: np.full(np.shape(w)[:-1] + labels.shape, 1.25),
+            lambda w, features, labels: np.zeros(np.shape(w)[:-1] + (len(labels), 2)),
         )
         assert grad_check(constant, np.ones(2), (np.ones(2), 0.0), 1e-4) == 0.0
 
