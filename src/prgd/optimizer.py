@@ -235,14 +235,12 @@ def prgd_run(
             losses[rows] = np.mean(model.value(iterates[rows], data.features, data.labels), axis=1)
             if np.isfinite(gradients[rows]).all() and np.isfinite(losses[rows]).all():
                 continue
-            # the block's first step with a non-finite gradient row, and with a
-            # non-finite loss; past the block means none (step T has no gradient)
-            gradient_ok = np.isfinite(gradients[rows]).all(axis=1)
-            gradient_step = np.append(gradient_ok, [True, False]).argmin()
-            loss_step = np.append(np.isfinite(losses[rows]), False).argmin()
-            step = start + int(min(gradient_step, loss_step))
-            # a step's gradient is taken before its loss
-            raise DivergenceError(step, "gradient" if gradient_step <= loss_step else "loss")
+            # a step's gradient is taken before its loss; step T has no gradient
+            for step in range(start, min(start + block, total + 1)):
+                if step < total and not np.isfinite(gradients[step]).all():
+                    raise DivergenceError(step, "gradient")
+                if not np.isfinite(losses[step]):
+                    raise DivergenceError(step, "loss")
 
     if sensitivity is not None:
         provenance = "given"
@@ -276,12 +274,14 @@ def estimate_sensitivity(
     never formed. A probe equal to its predecessor is skipped. The others
     are taken in blocks of at most ``_TABLE_ENTRIES`` gradient entries, one
     broadcast ``model.gradient`` call per block. One vectorized pass per
-    block finds each probe's distances from its mean gradient (its radii)
-    and, from its farthest row, one real pair distance. A probe whose
-    gradients all lie within half of a known distance of their mean cannot
-    raise the maximum and is dismissed there. The rest are swept in order:
-    the triangle inequality through the mean rules out rows too close to
-    it, and the remaining pairs are compared in row blocks of at most
+    block finds each probe's distances from its mean gradient (its radii).
+    A block in which every gradient lies within half the running maximum of
+    its probe's mean cannot raise the maximum and is dismissed whole.
+    Otherwise each probe's distances from its farthest row, which are real
+    pair distances, are folded into the running maximum first, and then each
+    probe whose radii still allow a longer pair is swept in order: the
+    triangle inequality through the mean rules out rows too close to it,
+    and the remaining pairs are compared in row blocks of at most
     ``_BLOCK_ENTRIES`` distances. Memory is O(N·p + _TABLE_ENTRIES +
     _BLOCK_ENTRIES) for N records and p parameters, never N×N. Time is
     O(N·p) per probe when pruning works; when no row can be ruled out (every
@@ -317,18 +317,14 @@ def estimate_sensitivity(
         tops = np.sqrt(squared_radii.max(axis=1)) * (1.0 + _SLACK)
         if not (2.0 * tops > worst).any():
             continue  # the running maximum dismisses the whole block
+        # each probe's distances from its farthest row are real pair distances,
+        # so the running maximum takes them all before any probe is tested
         far = tables[np.arange(len(ks)), squared_radii.argmax(axis=1)]
-        lowers = np.sqrt(_squared_norms(tables - far[:, np.newaxis]).max(axis=1))
-        # a probe is dismissed against the running maximum and the distances
-        # found from the farthest rows of the probes before it in the block
-        known = worst
-        for j, (top, lower) in enumerate(zip(tops.tolist(), lowers.tolist())):
-            if 2.0 * top > max(known, worst):
+        worst = max(worst, math.sqrt(float(_squared_norms(tables - far[:, np.newaxis]).max())))
+        for j, top in enumerate(tops.tolist()):
+            if 2.0 * top > worst:
                 radii = np.sqrt(squared_radii[j]) * (1.0 + _SLACK)
-                worst = _sweep(tables[j], radii, top, max(worst, lower))
-            known = max(known, lower)
-        # every distance a probe was dismissed against is in the result
-        worst = max(worst, known)
+                worst = _sweep(tables[j], radii, top, worst)
     return worst
 
 

@@ -357,14 +357,24 @@ class TestPrgdRun:
         reference = prgd_run(self.data, self.model, config, np.zeros(2), sensitivity=0.1)
         assert trace.serialize_lines() == reference.serialize_lines()
 
-    @pytest.mark.parametrize("bad_gradient,bad_loss,expected", [
-        (True, False, (3, "gradient")),
-        (False, True, (3, "loss")),
-        (True, True, (3, "gradient")),
+    @pytest.mark.parametrize("table_entries", [1 << 14, 15, 30])
+    @pytest.mark.parametrize("bad_gradient,bad_loss,steps,expected", [
+        (True, False, 6, (3, "gradient")),
+        (False, True, 6, (3, "loss")),
+        (True, True, 6, (3, "gradient")),
+        (True, True, 3, (3, "loss")),
     ])
-    def test_first_non_finite_step_and_quantity(self, bad_gradient, bad_loss, expected):
+    def test_first_non_finite_step_and_quantity(
+        self, monkeypatch, table_entries, bad_gradient, bad_loss, steps, expected,
+    ):
         """From w₀ = 0 with gradient 1 and η = 1 the iterates are wₜ = −t;
-        the gradient and/or loss turn nan once w < −2.5, first at step 3."""
+        the gradient and/or loss turn nan once w < −2.5, first at step 3.
+        At T = 3 that is the final iterate, which has a loss but no
+        gradient. With 15 records, 2¹⁴, 15 or 30 table entries make blocks of
+        all, 1 or 2 iterates, so step 3 may also start or end its block of
+        the loss pass."""
+        monkeypatch.setattr(optimizer, "_TABLE_ENTRIES", table_entries)
+
         def value(w, features, labels):
             return np.where(bad_loss & (w[..., :1] < -2.5), np.nan, np.zeros(len(labels)))
 
@@ -372,7 +382,7 @@ class TestPrgdRun:
             bad = bad_gradient & (w[..., np.newaxis, :1] < -2.5)
             return np.where(bad, np.nan, np.ones((len(labels), 1)))
 
-        config = RunConfig(step_size=1.0, steps=6, noise_radius=0.0)
+        config = RunConfig(step_size=1.0, steps=steps, noise_radius=0.0)
         with pytest.raises(DivergenceError) as err:
             prgd_run(self.data, LossModel("nan_after_three", 1, value, gradient), config, [0.0])
         assert (err.value.step, str(err.value).split()[0]) == expected
@@ -620,6 +630,42 @@ class TestEstimateSensitivity:
         got = estimate_sensitivity(data, stretch_loss(4), probes)
         assert got == pytest.approx(expected, rel=1e-12)
         assert got == pytest.approx(brute_force_diameter(features * 3.0), rel=1e-12)
+
+    def test_later_far_row_dismisses_an_earlier_probe(self, monkeypatch):
+        """A scale-1 probe before a scale-3 probe in one block: the scale-3
+        probe's distances from its farthest row are at least twice any
+        scale-1 radius, so only the scale-3 probe is swept."""
+        rng = np.random.default_rng(9)
+        features = rng.standard_normal((300, 4))
+        data = Dataset(features, np.zeros(300))
+        sweep = optimizer._sweep
+        sweeps = []
+
+        def counting(rows, radii, top, best):
+            sweeps.append(top)
+            return sweep(rows, radii, top, best)
+
+        monkeypatch.setattr(optimizer, "_sweep", counting)
+        got = estimate_sensitivity(data, stretch_loss(4), [np.ones(4), np.full(4, 3.0)])
+        assert len(sweeps) == 1
+        assert got == pytest.approx(brute_force_diameter(features * 3.0), rel=1e-12)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("table_entries", [60, 200, 1000])
+    def test_random_walk_over_many_blocks_matches_brute_force(self, monkeypatch, table_entries, seed):
+        """A random walk of 150 probes, a third of its steps zero, over 30
+        heavy-tailed records; 60, 200 and 1000 table entries make blocks of
+        1, 3 and 16 probes, so the running maximum crosses many blocks."""
+        monkeypatch.setattr(optimizer, "_TABLE_ENTRIES", table_entries)
+        rng = np.random.default_rng(seed)
+        features = rng.standard_cauchy((30, 2))
+        steps = 0.3 * rng.standard_normal((150, 2))
+        steps[rng.random(150) < 1 / 3] = 0.0
+        probes = 1.0 + np.cumsum(steps, axis=0)
+        data = Dataset(features, np.zeros(30))
+        expected = max(brute_force_diameter(features * w) for w in probes)
+        got = estimate_sensitivity(data, stretch_loss(2), probes)
+        assert got == pytest.approx(expected, rel=1e-12)
 
     def test_non_finite_gradient_table_raises(self):
         """At w = 0 the gradient of record 0 overflows to −inf while the loss

@@ -191,10 +191,12 @@ class TestRegIncBeta:
     def test_property_reflection_identity(self, z, a, b):
         """I_z(a, b) = 1 − I_{1−z}(b, a) to 1e-12, the tolerance above.
 
-        Off the switch point z = (a+1)/(a+b+2) both sides evaluate the same
+        Off the switch point z = (a+6)/(a+b+12) both sides evaluate the same
         continued fraction; on it they evaluate complementary ones, and the
-        identity checks accuracy. Shapes stop at 200 because beyond ~10³ the
-        log-beta cancellation (see the expected failure below) exceeds 1e-12.
+        identity checks accuracy. Shapes stop at 200 because the general-shape
+        front factor exp(a·log z + b·log1p(−z) − log B(a, b)) loses about
+        (a + b)·ε: I_½(a, a) is off by −5.3e-13 at a = 10³ and by −1.3e-10 at
+        a = 10⁵, so large general shapes fall outside 1e-12.
         """
         # 1 − (1 − z) has an exact complement, so the identity is tested
         # rather than the rounding of 1 − z
