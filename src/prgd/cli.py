@@ -54,15 +54,14 @@ def _print_report(report) -> None:
 
 
 def cmd_account(args: argparse.Namespace) -> int:
-    if args.delta_x >= 2.0 * args.radius:
-        print(
-            f"error: delta-x {args.delta_x} >= 2*radius {2.0 * args.radius}: "
-            "delta saturates at 1 and no nontrivial guarantee exists",
-            file=sys.stderr,
-        )
-        return 2
     spec = PrivacySpec(args.d, args.delta_x, args.n, args.t, args.radius)
-    _print_report(accountant.overall_delta(spec))
+    report = accountant.overall_delta(spec)
+    if report.per_step_delta == 1.0:
+        raise ConfigError(
+            f"d {args.d}, delta-x {args.delta_x}, radius {args.radius}: "
+            "per-step delta saturates at 1 and no nontrivial guarantee exists"
+        )
+    _print_report(report)
     return 0
 
 
@@ -303,11 +302,9 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="execute one experiment config")
     run.add_argument("config", help="JSON experiment config path")
     run.add_argument("--trace", help="trace output path (default: config path with .trace)")
-    run.add_argument("--seed", type=int, help="override run.seed")
-    run.add_argument("--steps", type=int, help="override run.steps")
-    run.add_argument("--step-size", type=float, dest="step_size", help="override run.step_size")
-    run.add_argument("--noise-radius", type=float, dest="noise_radius",
-                     help="override run.noise_radius")
+    for field, kind in _RUN_FIELDS.items():
+        run.add_argument(f"--{field.replace('_', '-')}", type=kind, dest=field,
+                         help=f"override run.{field}")
     run.set_defaults(handler=cmd_run)
 
     validate = sub.add_parser("validate", help="run oracle agreement suites")

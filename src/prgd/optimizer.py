@@ -24,7 +24,6 @@ from .rng import derive_rng
 _SLACK = 1e-12  # relative slack on the pruning bounds of the sensitivity scan
 _BLOCK_ENTRIES = 1 << 20  # distances per row block of the scan (8 MB)
 _TABLE_ENTRIES = 1 << 14  # loss values or gradient entries per block of points (128 KB)
-_LINE_BLOCK = 10_000  # trace rows formatted per block
 
 
 class DivergenceError(RuntimeError):
@@ -160,9 +159,10 @@ class RunTrace:
         grad_norms = np.sqrt(np.vecdot(self.gradients, self.gradients))
         noise_norms = np.sqrt(np.vecdot(self.noises, self.noises))
         lines = []
-        # blocks of rows keep the temporary Python floats bounded
-        for start in range(0, self.steps, _LINE_BLOCK):
-            rows = slice(start, min(start + _LINE_BLOCK, self.steps))
+        # blocks of at most _TABLE_ENTRIES floats keep the temporary Python floats bounded
+        block = max(1, _TABLE_ENTRIES // (3 + self.iterates.shape[1]))
+        for start in range(0, self.steps, block):
+            rows = slice(start, min(start + block, self.steps))
             indices = self.data_indices[rows].tolist()
             values = np.column_stack(
                 (self.losses[rows], grad_norms[rows], noise_norms[rows], self.iterates[rows])

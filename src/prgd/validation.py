@@ -48,10 +48,8 @@ class MCEstimate:
     seed: int
 
 
-def _proportion(hits: int, samples: int, seed: int, complement: bool = False) -> MCEstimate:
+def _proportion(hits: int, samples: int, seed: int) -> MCEstimate:
     p = hits / samples
-    if complement:
-        p = 1.0 - p
     return MCEstimate(p, math.sqrt(p * (1.0 - p) / samples), samples, seed)
 
 
@@ -59,9 +57,13 @@ def _worker_count() -> int:
     raw = os.environ.get(WORKERS_ENV)
     if raw is None:
         return 1
-    count = int(raw)
+    message = f"{WORKERS_ENV} must be an integer in [1, {_MAX_WORKERS}], got {raw!r}"
+    try:
+        count = int(raw)
+    except ValueError:
+        raise ValueError(message) from None
     if not 1 <= count <= _MAX_WORKERS:
-        raise ValueError(f"{WORKERS_ENV} must be an integer in [1, {_MAX_WORKERS}], got {raw!r}")
+        raise ValueError(message)
     return count
 
 
@@ -117,7 +119,7 @@ def mc_tv_distance(
         return int(np.count_nonzero(np.einsum("ij,ij->i", pts, pts) <= r_sq))
 
     inside_both = _sum_over_chunks(count_chunk, samples)
-    return _proportion(inside_both, samples, seed, complement=True)
+    return _proportion(samples - inside_both, samples, seed)
 
 
 def closed_form_overlap_check(
@@ -137,9 +139,8 @@ def closed_form_overlap_check(
         raise ValueError(f"delta_x must lie in [0, {2.0 * radius}], got {delta_x}")
     analytic = overlap_volume(BallSpec(d, radius), delta_x)
     r = radius
-    if delta_x >= 2.0 * r:
-        closed = 0.0
-    elif d == 1:
+    # at delta_x = 2r each form is exactly 0: 2r − 2r, acos(1) with 4r² − (2r)², and h
+    if d == 1:
         closed = 2.0 * r - delta_x
     elif d == 2:
         closed = 2.0 * r * r * math.acos(delta_x / (2.0 * r)) - 0.5 * delta_x * math.sqrt(

@@ -93,6 +93,33 @@ class TestAccount:
         assert code == 2
         assert "error" in err
 
+    def test_noiseless_zero_sensitivity_is_private(self, capsys):
+        """At radius 0 the accountant's noiseless rule gives δ = 0 for Δx = 0."""
+        code, out, _ = run_cli(
+            ["account", "--d", "3", "--delta-x", "0", "--radius", "0", "--n", "10", "--t", "1"],
+            capsys,
+        )
+        assert code == 0
+        assert parse_report(out)["per_step_delta"] == "0"
+
+    def test_negative_radius_names_the_field(self, capsys):
+        code, out, err = run_cli(
+            ["account", "--d", "3", "--delta-x", "0.5", "--radius", "-1", "--n", "10", "--t", "1"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert "noise_radius" in err
+
+    def test_delta_that_rounds_to_one_saturates(self, capsys):
+        """Δx < 2R, but at d = 10⁶ the per-step δ is 1 in double precision."""
+        code, out, err = run_cli(
+            ["account", "--d", "1000000", "--delta-x", "1.9", "--n", "10", "--t", "1"], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert "saturates" in err
+
 
 class TestCurve:
     def test_one_dimensional_line(self, tmp_path, capsys):

@@ -530,7 +530,7 @@ class TestSerialization:
     def test_blocks_match_the_per_field_loop(self, monkeypatch, block):
         """Whole-row blocks give the text of one repr per field and row, at
         every block size, across block boundaries and a short last block."""
-        monkeypatch.setattr(optimizer, "_LINE_BLOCK", block)
+        monkeypatch.setattr(optimizer, "_TABLE_ENTRIES", block * 6)  # 3 + p floats per row
         config = RunConfig(step_size=0.05, steps=30, noise_radius=0.5, seed=3)
         trace = prgd_run(synthesize_dataset(9, 3, 0.1, 2), rank1_factorization(3), config, [0.1, 0.0, -0.1])
         expected = [

@@ -62,9 +62,11 @@ class TestMcTvDistance:
         assert fanned == baseline
 
     def test_rejects_bad_worker_env(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV, "0")
-        with pytest.raises(ValueError):
-            mc_tv_distance(2, 1.0, 1.0, 1000, 0)
+        """Out of range or not an integer: the message names the variable."""
+        for raw in ("0", "abc", "2.0", ""):
+            monkeypatch.setenv(WORKERS_ENV, raw)
+            with pytest.raises(ValueError, match=WORKERS_ENV):
+                mc_tv_distance(2, 1.0, 1.0, 1000, 0)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -137,8 +139,11 @@ class TestClosedFormOverlapCheck:
         assert analytic == pytest.approx(closed, rel=1e-10)
 
     def test_tangent_disks(self):
-        analytic, closed = closed_form_overlap_check(2, 2.0)
-        assert analytic == 0.0 and closed == 0.0
+        """Δx = 2r gives exactly 0 from every closed form, at any radius."""
+        for d in (1, 2, 3):
+            for r in (1.0, 0.3, 7.0, 1e-100, 1e100):
+                analytic, closed = closed_form_overlap_check(d, 2.0 * r, r)
+                assert analytic == 0.0 and closed == 0.0, (d, r)
 
     def test_grid_agreement(self):
         """300 cases: 100-point grid for each of d = 1, 2, 3."""
