@@ -37,14 +37,15 @@ class PrivacySpec:
     noise_radius: float = 1.0
 
     def __post_init__(self) -> None:
-        if int(self.d) != self.d or self.d < 1:
-            raise ValueError(f"dimension must be a positive integer, got {self.d}")
+        for field, count in (("dimension", self.d), ("dataset_size", self.dataset_size), ("steps", self.steps)):
+            if int(count) != count or count < 1:
+                raise ValueError(f"{field} must be a positive integer, got {count}")
+            try:
+                float(count)  # δ and its composition are computed in floats
+            except OverflowError:
+                raise ValueError(f"{field} is too large for a float") from None
         if not self.delta_x >= 0.0:
             raise ValueError(f"delta_x must be nonnegative, got {self.delta_x}")
-        if int(self.dataset_size) != self.dataset_size or self.dataset_size < 1:
-            raise ValueError(f"dataset_size must be a positive integer, got {self.dataset_size}")
-        if int(self.steps) != self.steps or self.steps < 1:
-            raise ValueError(f"steps must be a positive integer, got {self.steps}")
         if not self.noise_radius >= 0.0:
             raise ValueError(f"noise_radius must be nonnegative, got {self.noise_radius}")
 

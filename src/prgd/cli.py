@@ -32,7 +32,7 @@ _SURFACE_CASES = ((2, 0.5), (2, 1.0), (3, 0.5), (3, 1.0))
 _GRADCHECK_CASES = (("least_squares", 3), ("scalar_factorization", 1), ("rank1_factorization", 3))
 _GRADCHECK_TOL = 1e-5
 _SURFACE_RATE_MIN = 0.9999
-_MAX_GRID_POINTS = 1_000_000  # curve grids past this are typos, not plots
+_MAX_GRID_POINTS = 1_000_000  # curve grids or rows past this are typos, not plots
 _MAX_ARRAY_ELEMENTS = 100_000_000  # a run's trace or dataset past this needs gigabytes
 _DATA_FIELDS = {"n": int, "feature_dim": int, "label_noise": float, "seed": int}
 _RUN_FIELDS = {"step_size": float, "steps": int, "noise_radius": float, "seed": int}
@@ -96,10 +96,16 @@ def _parse_grid(text: str) -> list[float]:
 def cmd_curve(args: argparse.Namespace) -> int:
     dims = _parse_d_list(args.d_list)
     grid = _parse_grid(args.delta_x_range)
+    if len(dims) * len(grid) > _MAX_GRID_POINTS:
+        raise ConfigError(
+            f"{len(dims)} dimensions x {len(grid)} grid points give more than "
+            f"{_MAX_GRID_POINTS} curve rows"
+        )
     rows = accountant.delta_curve(dims, grid, args.radius)
-    lines = ["d,delta_x,delta"]
-    lines.extend(f"{d},{_fmt(dx)},{_fmt(delta)}" for d, dx, delta in rows)
-    Path(args.output).write_text("\n".join(lines) + "\n")
+    with open(args.output, "w") as out:
+        out.write("d,delta_x,delta\n")
+        for d, dx, delta in rows:
+            out.write(f"{d},{_fmt(dx)},{_fmt(delta)}\n")
     print(f"wrote {len(rows)} rows to {args.output}")
     return 0
 
@@ -192,7 +198,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     trace = prgd_run(data, model, run_config, config["initial_w"], config.get("sensitivity"))
 
     trace_path = args.trace if args.trace is not None else str(Path(args.config).with_suffix(".trace"))
-    Path(trace_path).write_text("\n".join(trace.serialize_lines()) + "\n")
+    with open(trace_path, "w") as out:
+        for line in trace.serialize_lines():
+            out.write(f"{line}\n")
 
     displacement = float(np.linalg.norm(trace.final_iterate - trace.iterates[0]))
     print(f"trace = {trace_path}")

@@ -4,6 +4,7 @@ from the ball volume and from the sphere surface."""
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,9 +31,19 @@ class BallSpec:
 
 
 def ball_volume(spec: BallSpec) -> float:
-    """Volume radius^d · π^{d/2} / Γ(1 + d/2)."""
+    """Volume radius^d · π^{d/2} / Γ(1 + d/2).
+
+    Raises ValueError when the volume is past the double range.
+    """
     d = spec.d
-    return spec.radius**d * math.exp(0.5 * d * math.log(math.pi) - math.lgamma(1.0 + 0.5 * d))
+    log_unit = 0.5 * d * math.log(math.pi) - math.lgamma(1.0 + 0.5 * d)
+    log_volume = d * math.log(spec.radius) + log_unit
+    if not log_volume < math.log(sys.float_info.max):
+        raise ValueError(f"the volume of a ball of radius {spec.radius} in dimension {d} overflows a float")
+    try:
+        return spec.radius**d * math.exp(log_unit)
+    except OverflowError:  # radius^d alone is past the double range
+        return math.exp(log_volume)
 
 
 def cap_volume(spec: BallSpec, a: float) -> float:

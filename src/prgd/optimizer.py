@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -148,28 +148,24 @@ class RunTrace:
     def final_loss(self) -> float:
         return float(self.losses[-1])
 
-    def serialize_lines(self) -> list[str]:
-        """One text record per iteration.
+    def serialize_lines(self) -> Iterator[str]:
+        """One text record per iteration, yielded in order.
 
         Field order: step, data_index, loss, grad_norm, noise_norm, then the
         components of the pre-update iterate; space-separated, floats in
         shortest round-trip form.
         """
-        # the 1-D norm's dot kernel, so each field is np.linalg.norm(row)
-        grad_norms = np.sqrt(np.vecdot(self.gradients, self.gradients))
-        noise_norms = np.sqrt(np.vecdot(self.noises, self.noises))
-        lines = []
         # blocks of at most _TABLE_ENTRIES floats keep the temporary Python floats bounded
         block = max(1, _TABLE_ENTRIES // (3 + self.iterates.shape[1]))
         for start in range(0, self.steps, block):
             rows = slice(start, min(start + block, self.steps))
-            indices = self.data_indices[rows].tolist()
-            values = np.column_stack(
-                (self.losses[rows], grad_norms[rows], noise_norms[rows], self.iterates[rows])
-            ).tolist()
-            for t, idx, row in zip(range(start, rows.stop), indices, values):
-                lines.append(" ".join(map(repr, (t, idx, *row))))
-        return lines
+            g, e = self.gradients[rows], self.noises[rows]
+            # the 1-D norm's dot kernel, so each field is np.linalg.norm(row)
+            norms = np.sqrt(np.vecdot(g, g)), np.sqrt(np.vecdot(e, e))
+            values = np.column_stack((self.losses[rows], *norms, self.iterates[rows])).tolist()
+            for t, idx, row in zip(range(start, rows.stop), self.data_indices[rows].tolist(), values):
+                yield " ".join(map(repr, (t, idx, *row)))
+            del values  # freed before the next block's rows are built
 
 
 def prgd_run(

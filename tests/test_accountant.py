@@ -36,6 +36,15 @@ class TestPrivacySpec:
         with pytest.raises(ValueError):
             PrivacySpec(1, 1.0, 1, 1, float("nan"))
 
+    @pytest.mark.parametrize("field,args", [
+        ("dimension", (10**400, 0.5, 1, 1)),
+        ("dataset_size", (1, 0.5, 10**400, 1)),
+        ("steps", (1, 0.5, 1, 10**400)),
+    ])
+    def test_integer_past_the_float_range_names_the_field(self, field, args):
+        with pytest.raises(ValueError, match=f"{field} is too large for a float"):
+            PrivacySpec(*args)
+
     def test_saturating_sensitivity_is_allowed(self):
         assert per_step_delta(PrivacySpec(2, 5.0, 1, 1)) == 1.0
 

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -190,6 +191,21 @@ class TestCurve:
         assert f"at most {cli._MAX_GRID_POINTS} points" in err
         assert not out_path.exists()
 
+    def test_row_count_past_the_grid_bound_is_usage_error(self, tmp_path, capsys):
+        """Each grid is within the bound, but two dimensions of 666,667
+        points would be 1.3·10⁶ rows; refused before any δ is computed."""
+        out_path = tmp_path / "x.csv"
+        code, out, err = run_cli(
+            ["curve", "--d-list", "1,2", "--delta-x-range", "0:2:0.000003", "--output", str(out_path)],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [
+            f"error: 2 dimensions x 666667 grid points give more than {cli._MAX_GRID_POINTS} curve rows"
+        ]
+        assert not out_path.exists()
+
     def test_byte_identical_reruns(self, tmp_path, capsys):
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
         for path in paths:
@@ -199,6 +215,32 @@ class TestCurve:
                 capsys,
             )
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+_SADDLE = {  # the README saddle config
+    "loss": "scalar_factorization",
+    "data": {"n": 40, "feature_dim": 1, "label_noise": 0.0, "seed": 11},
+    "run": {"step_size": 0.01, "steps": 2000, "noise_radius": 1.0, "seed": 3},
+    "initial_w": [0.0, 0.0],
+}
+
+_BIG = "1" + "0" * 400  # an integer past the float range
+
+
+@pytest.mark.parametrize("args", [
+    ["account", "--d", _BIG, "--delta-x", "0.5", "--n", "10", "--t", "1"],
+    ["account", "--d", "3", "--delta-x", "0.5", "--n", _BIG, "--t", "1"],
+    ["account", "--d", "3", "--delta-x", "0.5", "--n", "10", "--t", _BIG],
+    ["curve", "--d-list", f"1,{_BIG}", "--delta-x-range", "0:2:0.5", "--output", "unused.csv"],
+])
+def test_integer_flag_past_the_float_range_is_usage_error(tmp_path, capsys, monkeypatch, args):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(args, capsys)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "unused.csv").exists()
 
 
 _MISTYPED = [
@@ -272,6 +314,47 @@ class TestRun:
         fields = lines[0].split(" ")
         assert len(fields) == 5 + 2  # step, index, loss, grad_norm, noise_norm, iterate
         assert fields[0] == "0"
+
+    def test_streamed_trace_is_the_joined_lines(self, tmp_path, capsys, monkeypatch):
+        """Seven rows per block over 30 steps: four full blocks and a short last one."""
+        monkeypatch.setattr(optimizer, "_TABLE_ENTRIES", 7 * (3 + 2))
+        config_path = tmp_path / "cfg.json"
+        config = write_config(config_path, **{**_SADDLE, "run": {**_SADDLE["run"], "steps": 30}})
+        code, _, _ = run_cli(["run", str(config_path), "--trace", str(tmp_path / "t.trace")], capsys)
+        assert code == 0
+        trace = optimizer.prgd_run(
+            synthesize_dataset(**config["data"]), optimizer.scalar_factorization(1),
+            optimizer.RunConfig(**config["run"]), config["initial_w"],
+        )
+        assert (tmp_path / "t.trace").read_text() == "\n".join(trace.serialize_lines()) + "\n"
+
+    def test_trace_write_memory_is_flat_in_steps(self, tmp_path, capsys, monkeypatch):
+        """The saddle config with a given sensitivity, so no scan, at T = 5·10³
+        and 5·10⁴. Tracing starts when the real prgd_run returns, so what is
+        counted is the trace text on its way to the file: one block of lines,
+        whatever T is."""
+        real = cli.prgd_run
+
+        def traced(*args, **kwargs):
+            trace = real(*args, **kwargs)
+            tracemalloc.start()
+            return trace
+
+        monkeypatch.setattr(cli, "prgd_run", traced)
+        config_path = tmp_path / "cfg.json"
+        write_config(config_path, **_SADDLE, sensitivity=1.0)
+        peaks = []
+        for steps in (5_000, 50_000):
+            try:
+                code, _, _ = run_cli(
+                    ["run", str(config_path), "--steps", str(steps), "--trace", str(tmp_path / "t.trace")],
+                    capsys,
+                )
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+        assert abs(peaks[1] - peaks[0]) < 256 * 2**10
 
     def test_given_sensitivity_overrides_provenance(self, tmp_path, capsys):
         config_path = tmp_path / "cfg.json"

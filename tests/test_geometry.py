@@ -55,6 +55,21 @@ class TestBallVolume:
                 r**d * ball_volume(BallSpec(d)), rel=1e-12
             )
 
+    def test_volume_in_range_when_the_power_is_not(self):
+        """2000¹⁰⁰ is past the double range, the volume (about 3e290) is not."""
+        log_volume = 100 * math.log(2000.0) + 50 * math.log(math.pi) - math.lgamma(51.0)
+        assert ball_volume(BallSpec(100, 2000.0)) == pytest.approx(math.exp(log_volume), rel=1e-12)
+
+    @pytest.mark.parametrize("call", [
+        lambda: ball_volume(BallSpec(2, 1e200)),
+        lambda: cap_volume(BallSpec(2, 1e200), 0.5),
+        lambda: overlap_volume(BallSpec(2, 1e200), 1e200),
+        lambda: closed_form_overlap_check(2, 1e200, 1e200),
+    ])
+    def test_overflowing_volume_is_a_value_error(self, call):
+        with pytest.raises(ValueError, match=r"radius 1e\+200 in dimension 2 overflows"):
+            call()
+
 
 class TestCapVolume:
     def test_hemisphere(self):

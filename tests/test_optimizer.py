@@ -286,7 +286,7 @@ class TestPrgdRun:
         np.testing.assert_array_equal(a.data_indices, b.data_indices)
         assert a.final_loss == b.final_loss
         assert a.report == b.report
-        assert a.serialize_lines() == b.serialize_lines()
+        assert list(a.serialize_lines()) == list(b.serialize_lines())
 
     def test_update_rule_fidelity(self):
         """w_{t+1} − w_t equals −η·(gradient + noise) exactly, every step."""
@@ -355,7 +355,7 @@ class TestPrgdRun:
         assert all(kind == "value" and points.ndim == 2 and k == 15 for kind, points, k in blocks)
         np.testing.assert_array_equal(np.concatenate([points for _, points, _ in blocks]), trace.iterates)
         reference = prgd_run(self.data, self.model, config, np.zeros(2), sensitivity=0.1)
-        assert trace.serialize_lines() == reference.serialize_lines()
+        assert list(trace.serialize_lines()) == list(reference.serialize_lines())
 
     @pytest.mark.parametrize("table_entries", [1 << 14, 15, 30])
     @pytest.mark.parametrize("bad_gradient,bad_loss,steps,expected", [
@@ -412,7 +412,7 @@ class TestPrgdRun:
 
         monkeypatch.setattr(optimizer, "estimate_sensitivity", no_scan)
         trace = prgd_run(self.data, self.model, config, np.zeros(2), sensitivity=0.5)
-        assert trace.serialize_lines() == reference.serialize_lines()
+        assert list(trace.serialize_lines()) == list(reference.serialize_lines())
         assert trace.sensitivity == 0.5
         assert trace.report == overall_delta(PrivacySpec(2, 0.5, 15, 50, 0.1), "given")
 
@@ -514,7 +514,7 @@ class TestSerialization:
         for seed in range(40):
             config = RunConfig(step_size=0.1, steps=3, noise_radius=0.5, seed=seed)
             trace = prgd_run(data, model, config, np.zeros(2))
-            lines = trace.serialize_lines()
+            lines = list(trace.serialize_lines())
             assert len(lines) == 3
             for t, line in enumerate(lines):
                 fields = line.split(" ")
@@ -541,7 +541,7 @@ class TestSerialization:
             ])
             for t in range(trace.steps)
         ]
-        assert trace.serialize_lines() == expected
+        assert list(trace.serialize_lines()) == expected
 
 
 class TestEstimateSensitivity:
