@@ -10,9 +10,10 @@ scales this to δ/N per step, and T adaptive steps compose additively to
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .special import ConvergenceError, beta, reg_inc_beta
+from .special import ConvergenceError, beta, half_shape_beta, half_shape_front
 
 _BISECT_TOL = 1e-13
 _TINY_S = 1e-100  # below this s² underflows, and δ takes its first-order form
@@ -38,7 +39,7 @@ class PrivacySpec:
 
     def __post_init__(self) -> None:
         for field, count in (("dimension", self.d), ("dataset_size", self.dataset_size), ("steps", self.steps)):
-            if int(count) != count or count < 1:
+            if not (count >= 1 and count % 1 == 0):  # false for inf and nan
                 raise ValueError(f"{field} must be a positive integer, got {count}")
             try:
                 float(count)  # δ and its composition are computed in floats
@@ -79,8 +80,11 @@ def per_step_delta(spec: PrivacySpec) -> float:
     return _delta(spec.d, spec.delta_x, spec.noise_radius)
 
 
-def _delta(d: int, delta_x: float, radius: float) -> float:
-    """per_step_delta for arguments a PrivacySpec has already accepted."""
+def _delta(d: int, delta_x: float, radius: float, front: float | None = None) -> float:
+    """per_step_delta for arguments a PrivacySpec has already accepted.
+    Callers that evaluate many δ at one d pass ``front`` =
+    half_shape_front((d + 1)/2), computed once; otherwise it is computed
+    only where it is used."""
     if delta_x == 0.0:
         return 0.0
     if delta_x >= 2.0 * radius:
@@ -88,12 +92,16 @@ def _delta(d: int, delta_x: float, radius: float) -> float:
     s = delta_x / radius * 0.5  # 2·radius would overflow past 8.99e307
     if d == 1:
         # I_{s²}(1/2, 1) = s; the closed form keeps the one-dimensional
-        # contract δ = Δx/(2R) exact instead of within continued-fraction noise
+        # contract δ = Δx/(2R) exact
         return s
     if s < _TINY_S:
-        # I_x(1/2, b) = 2√x / B(1/2, b) · (1 + O(b·x)); x = s² would be 0
-        return 2.0 * s / beta(0.5, 0.5 * (d + 1))
-    return reg_inc_beta(s * s, 0.5, 0.5 * (d + 1))
+        # I_x(1/2, b) = 2√x / B(1/2, b) · (1 + O(b·x)); x = s² would be 0, and
+        # 1/B(1/2, b) = front·√(b − 1/4)
+        if front is None:
+            front = half_shape_front(0.5 * (d + 1))
+        return 2.0 * s * front * math.sqrt(0.5 * d + 0.25)
+    x = s * s
+    return half_shape_beta(0.5 * (d + 1), s, 1.0 - x, -math.log1p(-x), False, front)
 
 
 def overall_delta(spec: PrivacySpec, provenance: str = "given") -> DeltaReport:
@@ -140,12 +148,13 @@ def radius_for_target(d: int, delta_x: float, target_per_step_delta: float) -> f
         raise ConvergenceError(
             f"no finite radius reaches target {target_per_step_delta} at delta_x {delta_x}"
         )
-    value = _delta(d, delta_x, hi)
+    front = half_shape_front(0.5 * (d + 1))
+    value = _delta(d, delta_x, hi, front)
     while target_per_step_delta - value > _BISECT_TOL:
         mid = 0.5 * lo + 0.5 * hi
         if not lo < mid < hi:  # lo and hi are adjacent floats
             break
-        mid_value = _delta(d, delta_x, mid)
+        mid_value = _delta(d, delta_x, mid, front)
         if mid_value > target_per_step_delta:
             lo = mid
         else:
@@ -161,7 +170,7 @@ def delta_curve(
     One (d, delta_x, delta) row per pair, dimensions outermost, both in
     input order. Grid values must lie in [0, 2·radius].
     """
-    dims = [int(d) for d in d_list]
+    dims = list(d_list)
     grid = [float(x) for x in delta_x_grid]
     if not dims or not grid:
         raise ValueError("d_list and delta_x_grid must be nonempty")
@@ -171,5 +180,7 @@ def delta_curve(
     rows = []
     for d in dims:
         PrivacySpec(d, grid[0], 1, 1, radius)  # checks d; the grid is checked above
-        rows.extend((d, dx, _delta(d, dx, radius)) for dx in grid)
+        d = int(d)
+        front = half_shape_front(0.5 * (d + 1))
+        rows.extend((d, dx, _delta(d, dx, radius, front)) for dx in grid)
     return rows

@@ -24,7 +24,7 @@ class BallSpec:
     radius: float = 1.0
 
     def __post_init__(self) -> None:
-        if int(self.d) != self.d or self.d < 1:
+        if not (self.d >= 1 and self.d % 1 == 0):  # false for inf and nan
             raise ValueError(f"dimension must be a positive integer, got {self.d}")
         if not self.radius > 0.0:
             raise ValueError(f"radius must be positive, got {self.radius}")

@@ -106,7 +106,7 @@ class RunConfig:
     def __post_init__(self) -> None:
         if not self.step_size > 0.0:
             raise ValueError(f"step_size must be positive, got {self.step_size}")
-        if int(self.steps) != self.steps or self.steps < 1:
+        if not (self.steps >= 1 and self.steps % 1 == 0):  # false for inf and nan
             raise ValueError(f"steps must be a positive integer, got {self.steps}")
         if not self.noise_radius >= 0.0:
             raise ValueError(f"noise_radius must be nonnegative, got {self.noise_radius}")

@@ -1,29 +1,28 @@
 """Scalar special functions behind the privacy formulas.
 
-Log-gamma and the beta function feed the ball-volume constants; the
-regularized incomplete beta function carries the overlap probability of two
-shifted noise balls. The incomplete beta is evaluated with the modified
-Lentz continued fraction, switching to the complementary expansion at
-z = (a + K)/(a + b + 2K), K = _SWITCH_K, so that one of the two forms always
-converges quickly (DLMF §8.17(v)); the finite Pochhammer series and the
-closed-form derivative are provided as independent cross-check routes for
-the accounting parameters (a = 1/2, b = (d + 1)/2).
+The overlap of two noise balls is δ = I_{s²}(½, b), b = (d + 1)/2, a Student t
+probability P(|t_{d+1}| ≤ s·√((d + 1)/(1 − s²))); a ball's cap is its complement.
+``half_shape_beta`` gives either to relative accuracy: finite sums (A&S §26.7) up to
+b = _SUM_MAX_B, past it BGRAT's a = ½ case (TOMS 708): with w₀ = −log(1 − s²),
+T = b − ¼ and u = T·w₀, B(½, b)·√T·δ = √π·erf(√u) + √u·e^{−u}·Σ_{k≥1} c_k·w₀^{2k}·S_k,
+S_k = γ(2k + ½, u)·eᵘ/u^{2k+½}, and the complement the same over erfc and Γ(2k + ½, u).
 """
 
 from __future__ import annotations
 
 import math
 
-_CF_TOL = 1e-15  # successive-convergent agreement required of the Lentz loop
-_CF_MAX_ITER = 300
-_FPMIN = 1e-300  # floor keeping the Lentz recurrence away from zero divisors
 _STIRLING_MIN = 8.0  # _log_beta takes Stirling's series once the larger shape reaches this
-# reg_inc_beta keeps the direct fraction while z < (a + K)/(a + b + 2K). At
-# K = 1 the complementary branch's 1 − z rounded z away just past the switch:
-# 5.5e-10 relative at a = 1/2, b = 5e7, b·z in [0.25, 25]. There K = 6 holds
-# 4.0e-13, K = 4 5.3e-12 and K = 10 1.4e-12; at a = 1/2 and b in [1, 5e7] it
-# takes at most 25 iterations (63 at K = 1)
-_SWITCH_K = 6.0
+_SUM_MAX_B = 12.5  # finite sums up to d = 24, the expansion above
+_U_MID = 0.25  # δ ≈ erf(√u) passes ½ near u = 0.23
+_W_MAX = 2.0  # |c_17|·_W_MAX³⁴ < 3e-18
+_SQRT_PI = math.sqrt(math.pi)
+_C = (  # c_1 … c_17, the w^{2k} coefficients of (sinh(w/2)/(w/2))^{−½}
+    -0.020833333333333332, 0.000390625, -7.879670965608466e-06, 1.6967665791721782e-07,
+    -3.805064191721906e-09, 8.748377596315407e-11, -2.044523359411974e-12, 4.833351797967704e-14,
+    -1.152434101767386e-15, 2.76605204359937e-17, -6.67428195089166e-19, 1.61745507718158e-20,
+    -3.93397792009138e-22, 9.597634062586047e-24, -2.347690291162632e-25, 5.7558703875442666e-27,
+    -1.414008810826549e-28)
 
 
 class ConvergenceError(ArithmeticError):
@@ -38,119 +37,119 @@ def beta(a: float, b: float) -> float:
 
 
 def _log_beta(a: float, b: float) -> float:
-    """log B(a, b) for positive shapes.
-
-    Once the larger shape b reaches _STIRLING_MIN, lgamma(b) and lgamma(a+b)
-    come from Stirling's series (x − ½)·log x − x + ½·log 2π + θ(x), so their
-    huge leading terms cancel analytically instead of in rounding, as in
-    DiDonato & Morris, ACM TOMS 708 (1992); see also DLMF §5.11.
-    """
+    """log B(a, b) for positive shapes. Once the larger shape b reaches
+    _STIRLING_MIN, lgamma(b) and lgamma(a+b) come from Stirling's series
+    (x − ½)·log x − x + ½·log 2π + θ(x), so their huge leading terms cancel
+    analytically instead of in rounding (TOMS 708; DLMF §5.11)."""
     a, b = min(a, b), max(a, b)
     if b < _STIRLING_MIN:
         return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
-    return (
-        math.lgamma(a) + (a - (b - 0.5) * math.log1p(a / b)) - a * math.log(a + b)
-        + (_stirling_theta(b) - _stirling_theta(a + b))
-    )
+    return (math.lgamma(a) + (a - (b - 0.5) * math.log1p(a / b)) - a * math.log(a + b)
+            + (_stirling_theta(b) - _stirling_theta(a + b)))
 
 
 def _stirling_theta(x: float) -> float:
-    """θ(x) = Σ B₂ₖ / (2k(2k−1)·x^(2k−1)) for k = 1..7; the first term left
-    out is below 8.5e-16 at x = _STIRLING_MIN."""
+    """θ(x) = Σ B₂ₖ / (2k(2k−1)·x^(2k−1)), k = 1..7; k = 8 is below 8.5e-16 at x = 8."""
     t = 1.0 / (x * x)
     series = 1 / 1188 + t * (-691 / 360360 + t / 156)
     return (1 / 12 + t * (-1 / 360 + t * (1 / 1260 + t * (-1 / 1680 + t * series)))) / x
 
 
-def _beta_cf(a: float, b: float, z: float) -> float:
-    """Continued fraction for the incomplete beta, by the modified Lentz method."""
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * z / qap
-    if abs(d) < _FPMIN:
-        d = _FPMIN
-    d = 1.0 / d
-    h = d
-    for m in range(1, _CF_MAX_ITER + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * z / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * z / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        step = d * c
-        h *= step
-        if abs(step - 1.0) < _CF_TOL:
-            return h
-    raise ConvergenceError(
-        f"incomplete beta continued fraction did not converge within "
-        f"{_CF_MAX_ITER} iterations for a={a}, b={b}, z={z}"
-    )
+def half_shape_front(b: float) -> float:
+    """1/(B(½, b)·√(b − ¼)) = Γ(b + ½)/(Γ(b)·√(π(b − ¼))), once per b for callers: its log
+    is O(1/b²) by Stirling at t >= 8, reached by 1/B(½, t) = 1/B(½, t + 1)·t/(t + ½)."""
+    t, scale = b, 1.0
+    while t < _STIRLING_MIN:
+        t, scale = t + 1.0, scale * t / (t + 0.5)
+    log_ratio = t * math.log1p(0.5 / t) - 0.5 - 0.5 * math.log1p(-0.25 / t)
+    scale *= math.sqrt((t - 0.25) / (b - 0.25)) / _SQRT_PI
+    return math.exp(log_ratio + _stirling_theta(t + 0.5) - _stirling_theta(t)) * scale
+
+
+def half_shape_beta(b: float, s: float, c: float, w0: float, upper: bool, front: float | None = None) -> float:
+    """I_{s²}(½, b), or with ``upper`` its complement I_c(b, ½), for 0 < s < 1,
+    c = 1 − s² and w0 = −log c; ``front`` is half_shape_front(b) if known."""
+    if b <= _SUM_MAX_B:
+        if (2.0 * b).is_integer():
+            p = _finite_sum(s, c, int(2.0 * b) - 1)
+            if not upper or p <= 0.5:
+                return 1.0 - p if upper else p
+        # past the cut by I_c(b, ½) = I_c(b + 1, ½) + c^b·s/(b·B(b, ½)), positive terms
+        n = math.floor(_SUM_MAX_B - b) + 1
+        lift, term = 0.0, s * math.exp(-b * w0 - _log_beta(0.5, b)) / b
+        for j in range(n):
+            lift, term = lift + term, term * c * (b + j + 0.5) / (b + j + 1.0)
+        return half_shape_beta(b + n, s, c, w0, upper) + (lift if upper else -lift)
+    if w0 > _W_MAX:  # I_c(b, ½)·B(b, ½)/c^b = Σ (½)_n/n!·cⁿ/(b + n) (DLMF 8.17.7), c < 0.14
+        total, term = 1.0 / b, 1.0
+        for n in range(1, 21):  # c^20 < 4e-18
+            term *= (n - 0.5) / n * c
+            total += term / (b + n)
+        q = math.exp(-b * w0 - _log_beta(0.5, b)) * total
+        return q if upper else 1.0 - q
+    u = (b - 0.25) * w0
+    r, w2 = math.sqrt(u), w0 * w0
+    front = half_shape_front(b) if front is None else front
+    if u < _U_MID:
+        # x = γ(a, u)·eᵘ/uᵃ, down from 0 at a = 14.5 by x(a) = (1 + u·x(a + 1))/a: each step
+        # cuts the start's error by u/a < 0.1, and c_k·w0^{2k} < 1e-20 at k ≥ 4 (w0 < 0.021)
+        x = total = 0.0
+        for k in range(6, 0, -1):
+            x = (1.0 + u * (1.0 + u * x) / (2 * k + 1.5)) / (2 * k + 0.5)
+            total = total * w2 + _C[k - 1] * x
+        p = front * (_SQRT_PI * math.erf(r) + r * math.exp(-u) * w2 * total)
+        return 1.0 - p if upper else p
+    if u > 700.0:  # the complement is below 2.2e-306
+        return 0.0 if upper else 1.0
+    e = math.exp(-u)
+    x = total = _SQRT_PI * math.erfc(r) / (r * e)  # Γ(a, u)·eᵘ/uᵃ at a = ½, then up
+    for k, c_k in enumerate(_C, 1):
+        x = ((2 * k - 0.5) * ((2 * k - 1.5) * x + 1.0) / u + 1.0) / u
+        total += (term := c_k * w2**k * x)
+        if abs(term) < 1e-17 * total:
+            break
+    q = front * r * e * total
+    return q if upper else 1.0 - q
+
+
+def _finite_sum(s: float, c: float, d: int) -> float:
+    """I_{s²}(½, (d+1)/2), c = 1 − s², integer d >= 0: s·Σ_{k<(d+1)/2} (½)_k/k!·c^k at odd d,
+    (2/π)·[asin s + s·√c·Σ_{k<d/2} (2·4⋯2k)/(3·5⋯(2k+1))·c^k] at even d (A&S 26.7.3–4)."""
+    odd = d % 2
+    total, term = 0.0, 1.0
+    for k in range(1, (d + odd) // 2 + 1):
+        total += term
+        term *= (k - 0.5) / k * c if odd else k / (k + 0.5) * c
+    return s * total if odd else 2.0 * (math.asin(s) + s * math.sqrt(c) * total) / math.pi
 
 
 def reg_inc_beta(z: float, a: float, b: float) -> float:
-    """Regularized incomplete beta function I_z(a, b) for shapes a, b > 0.
-
-    Exactly 0 at z = 0 and 1 at z = 1, and satisfies the reflection
-    identity I_z(a, b) = 1 - I_{1-z}(b, a): the region switch below makes
-    both sides of that identity evaluate the same continued fraction.
-    """
-    if not (a > 0.0 and b > 0.0):
-        raise ValueError(f"shape parameters must be positive, got a={a}, b={b}")
+    """Regularized incomplete beta I_z(a, b) for one shape ½; 0 at z = 0, 1 at z = 1."""
+    if not (a > 0.0 and b > 0.0 and 0.5 in (a, b)):
+        raise ValueError(f"shape parameters must be positive and one of them 1/2, got a={a}, b={b}")
     if not 0.0 <= z <= 1.0:
         raise ValueError(f"z must lie in [0, 1], got {z}")
-    if z == 0.0:
-        return 0.0
-    if z == 1.0:
-        return 1.0
-    front = math.exp(a * math.log(z) + b * math.log1p(-z) - _log_beta(a, b))
-    if z < (a + _SWITCH_K) / (a + b + 2.0 * _SWITCH_K):
-        return front * _beta_cf(a, b, z) / a
-    return 1.0 - front * _beta_cf(b, a, 1.0 - z) / b
+    if z == 0.0 or z == 1.0:
+        return float(z)
+    if a == 0.5:
+        return half_shape_beta(b, math.sqrt(z), 1.0 - z, -math.log1p(-z), False)
+    return half_shape_beta(a, math.sqrt(1.0 - z), z, -math.log(z), True)
 
 
 def series_delta_odd_d(delta_x: float, d: int) -> float:
-    """Distinguishing probability via the finite series, odd dimensions only.
-
-    Returns (Δx/2) · Σ_{k=0}^{(d-1)/2} (1/2)_k (1 - (Δx/2)²)^k / k!, which
-    equals I_{(Δx/2)²}(1/2, (d+1)/2) whenever (d+1)/2 is an integer. The
-    Pochhammer factor is accumulated as a running product; the term count
-    (d+1)/2 stays small at the scales this library targets.
-    """
+    """Distinguishing probability at odd d by the finite series
+    (Δx/2) · Σ_{k=0}^{(d-1)/2} (1/2)_k (1 - (Δx/2)²)^k / k!."""
     if d < 1 or d % 2 == 0:
         raise ValueError(f"d must be an odd positive integer, got {d}")
     if not 0.0 <= delta_x <= 2.0:
         raise ValueError(f"delta_x must lie in [0, 2], got {delta_x}")
     half = 0.5 * delta_x
-    comp = 1.0 - half * half
-    total = 1.0  # k = 0 term
-    term = 1.0
-    for k in range(1, (d - 1) // 2 + 1):
-        term *= (k - 0.5) / k * comp
-        total += term
-    return half * total
+    return _finite_sum(half, 1.0 - half * half, d)
 
 
 def reg_inc_beta_derivative(z: float, d: int) -> float:
-    """d/dz of I_z(1/2, (d+1)/2): (1-z)^{(d-1)/2} · z^{-1/2} / B(1/2, (d+1)/2).
-
-    Strictly positive on 0 < z < 1. The endpoints are excluded: z = 0 is a
-    z^{-1/2} singularity and z = 1 is degenerate.
-    """
+    """d/dz of I_z(1/2, (d+1)/2): (1-z)^{(d-1)/2} · z^{-1/2} / B(1/2, (d+1)/2),
+    strictly positive on 0 < z < 1 (z = 0 is a singularity, z = 1 degenerate)."""
     if d < 1:
         raise ValueError(f"d must be a positive integer, got {d}")
     if not 0.0 < z < 1.0:

@@ -18,7 +18,22 @@ from prgd.accountant import (
     radius_for_target,
 )
 from prgd.geometry import BallSpec, ball_volume, overlap_volume
+from prgd.optimizer import RunConfig
 from prgd.special import ConvergenceError
+
+
+@pytest.mark.parametrize("call", [
+    lambda: PrivacySpec(math.inf, 0.5, 1, 1),
+    lambda: RunConfig(0.1, math.inf),
+    lambda: BallSpec(math.inf),
+    lambda: radius_for_target(math.inf, 0.5, 0.1),
+    lambda: delta_curve([math.inf], [0.5]),
+], ids=["PrivacySpec", "RunConfig", "BallSpec", "radius_for_target", "delta_curve"])
+def test_infinite_count_is_a_one_line_value_error(call):
+    """An infinite dimension or step count is refused like any other
+    non-integer, not with the OverflowError of int(inf)."""
+    with pytest.raises(ValueError, match="must be a positive integer, got inf$"):
+        call()
 
 
 class TestPrivacySpec:

@@ -2,8 +2,8 @@
 
 Expected values come from independent routes: exact integer factorials for
 math.lgamma (which the library calls directly), hand-reduced beta ratios,
-and the finite-sum form of the incomplete beta at integer second shape,
-which needs no continued fraction.
+closed forms of the incomplete beta with one shape ½, and mpmath at 40
+digits or more.
 """
 
 import math
@@ -12,14 +12,18 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from prgd.accountant import PrivacySpec, per_step_delta
 from prgd.special import (
     _STIRLING_MIN,
-    _SWITCH_K,
+    _SUM_MAX_B,
+    _U_MID,
+    _W_MAX,
     _log_beta,
     beta,
+    half_shape_front,
     reg_inc_beta,
     reg_inc_beta_derivative,
     series_delta_odd_d,
@@ -35,6 +39,28 @@ def finite_sum_reg_inc_beta(z: float, a: float, n: int) -> float:
             term *= (a + k - 1) * (1.0 - z) / k
         total += term
     return z**a * total
+
+
+def mpmath_pair(b: float, x):
+    """(I_x(½, b), I_{1−x}(b, ½)) for an exact x, to 40 digits.
+
+    δ comes from DLMF 8.17.8, x^½·(1 − x)^b/(½·B(½, b))·F(b + ½, 1; 3/2; x),
+    whose terms are all positive; mpmath's own betainc stalls on it once b·x
+    is large. The complement is 1 − δ at a working precision raised by the
+    digits that subtraction cancels.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    extra = 0
+    while True:
+        with mpmath.workdps(40 + extra):
+            half, x = mpmath.mpf(1) / 2, mpmath.mpf(x)
+            front = 2 * mpmath.sqrt(x) * (1 - x) ** b / mpmath.beta(half, b)
+            p = front * mpmath.hyp2f1(b + half, 1, 3 * half, x)
+            q = 1 - p
+            lost = -int(mpmath.floor(mpmath.log10(q))) if q > 0 else 40 + extra
+            if lost <= extra:
+                return +p, +q
+            extra = lost + 5
 
 
 class TestLogGamma:
@@ -148,12 +174,20 @@ class TestRegIncBeta:
         with pytest.raises(ValueError):
             reg_inc_beta(0.5, 1.0, float("nan"))
 
-    def test_uniform_case_is_identity(self):
-        """I_z(1, 1) = z."""
-        assert reg_inc_beta(0.3, 1.0, 1.0) == pytest.approx(0.3, abs=1e-13)
+    @pytest.mark.parametrize("a,b", [(1.0, 1.0), (0.3, 7.0), (2.0, 0.49)])
+    def test_rejects_shapes_without_a_half(self, a, b):
+        with pytest.raises(ValueError, match="one of them 1/2") as caught:
+            reg_inc_beta(0.3, a, b)
+        assert "\n" not in str(caught.value)
+
+    def test_arcsine_case(self):
+        """I_z(½, ½) = (2/π)·asin √z, the even-d sum with no terms."""
+        for z in np.linspace(0.0, 1.0, 41):
+            expected = 2.0 / math.pi * math.asin(math.sqrt(z))
+            assert reg_inc_beta(float(z), 0.5, 0.5) == pytest.approx(expected, rel=1e-15, abs=1e-300)
 
     def test_exact_boundaries(self):
-        for params in ((0.5, 2.0), (7.0, 0.3)):
+        for params in ((0.5, 2.0), (7.0, 0.5), (0.5, 0.3), (3e7, 0.5)):
             assert reg_inc_beta(0.0, *params) == 0.0
             assert reg_inc_beta(1.0, *params) == 1.0
 
@@ -163,70 +197,64 @@ class TestRegIncBeta:
         assert reg_inc_beta(0.25, 0.5, 2.0) == pytest.approx(0.6875, abs=1e-12)
 
     def test_against_finite_sum_oracle(self):
-        """Continued fraction agrees with the finite sum at integer b."""
+        """I_z(½, n) at integer n against the test's own finite sum, and the
+        complement I_{1−z}(n, ½) against one minus it."""
         rng = np.random.default_rng(8)
         for _ in range(300):
-            a = float(rng.uniform(0.1, 10.0))
-            n = int(rng.integers(1, 12))
+            n = int(rng.integers(1, 40))
             z = float(rng.uniform(0.01, 0.99))
-            expected = finite_sum_reg_inc_beta(z, a, n)
-            assert reg_inc_beta(z, a, float(n)) == pytest.approx(
-                expected, abs=1e-12
-            )
+            expected = finite_sum_reg_inc_beta(z, 0.5, n)
+            assert reg_inc_beta(z, 0.5, float(n)) == pytest.approx(expected, rel=1e-14)
+            assert reg_inc_beta(1.0 - z, float(n), 0.5) == pytest.approx(1.0 - expected, abs=1e-14)
 
     def test_symmetry_identity(self):
-        """|I_z(a,b) − (1 − I_{1−z}(b,a))| ≤ 1e-12 over 1000 random triples."""
+        """|I_z(½, b) − (1 − I_{1−z}(b, ½))| ≤ 1e-14 over 1000 random pairs;
+        1 − z is rounded here, which moves I by up to its slope times 1.1e-16."""
         rng = np.random.default_rng(12)
         worst = 0.0
         for _ in range(1000):
-            a, b = rng.uniform(0.1, 20.0, 2)
+            b = float(rng.uniform(0.1, 20.0))
             z = float(rng.uniform(0.001, 0.999))
-            lhs = reg_inc_beta(z, a, b)
-            rhs = 1.0 - reg_inc_beta(1.0 - z, b, a)
+            lhs = reg_inc_beta(z, 0.5, b)
+            rhs = 1.0 - reg_inc_beta(1.0 - z, b, 0.5)
             worst = max(worst, abs(lhs - rhs))
-        assert worst <= 1e-12
+        assert worst <= 1e-14
 
     @settings(max_examples=500, deadline=None)
-    @given(z=st.floats(0.0, 1.0), a=st.floats(1e-2, 200.0), b=st.floats(1e-2, 200.0))
-    def test_property_reflection_identity(self, z, a, b):
-        """I_z(a, b) = 1 − I_{1−z}(b, a) to 1e-12, the tolerance above.
+    @given(z=st.floats(0.0, 1.0), log_b=st.floats(-2.0, 8.0))
+    def test_property_reflection_identity(self, z, log_b):
+        """I_z(½, b) = 1 − I_{1−z}(b, ½) to 1e-15 for b from 0.01 to 10⁸.
 
-        Off the switch point z = (a+6)/(a+b+12) both sides evaluate the same
-        continued fraction; on it they evaluate complementary ones, and the
-        identity checks accuracy. Shapes stop at 200 because the general-shape
-        front factor exp(a·log z + b·log1p(−z) − log B(a, b)) loses about
-        (a + b)·ε: I_½(a, a) is off by −5.3e-13 at a = 10³ and by −1.3e-10 at
-        a = 10⁵, so large general shapes fall outside 1e-12.
+        Below _SUM_MAX_B the two sides take the finite sum and the lifted
+        complement, so there the identity checks accuracy.
         """
         # 1 − (1 − z) has an exact complement, so the identity is tested
         # rather than the rounding of 1 − z
         z = 1.0 - (1.0 - z)
-        assert reg_inc_beta(z, a, b) == pytest.approx(1.0 - reg_inc_beta(1.0 - z, b, a), abs=1e-12)
+        b = 10.0**log_b
+        assert reg_inc_beta(z, 0.5, b) == pytest.approx(1.0 - reg_inc_beta(1.0 - z, b, 0.5), abs=1e-15)
 
-    def test_reflection_identity_at_the_switch_for_d_9803(self):
-        """The accountant's shapes a = 1/2, b = (d+1)/2 at the switch point:
-        lgamma(b) − lgamma(b + 1/2) loses ~1e-11 to cancellation at d ≈ 10⁴."""
-        a, b = 0.5, 0.5 * 9804
-        z = 1.0 - (1.0 - (a + 1.0) / (a + b + 2.0))
-        assert reg_inc_beta(z, a, b) == pytest.approx(1.0 - reg_inc_beta(1.0 - z, b, a), abs=1e-12)
+    @pytest.mark.parametrize("d", [24, 25, 9803, 10**6, 48_148_663, 10**8])
+    def test_continuous_across_the_seams(self, d):
+        """Where the evaluation changes route, at u = (b − ¼)·w₀ = _U_MID and
+        at w₀ = _W_MAX, the values just below and just above agree to 4e-15
+        relative, δ and complement alike; d = 24 and 25 sit on either side of
+        _SUM_MAX_B."""
+        b = 0.5 * (d + 1)
+        for w0 in (_U_MID / (b - 0.25), _W_MAX):
+            pair = []
+            for w in (math.nextafter(w0, 0.0), math.nextafter(w0, math.inf)):
+                z = math.exp(-w)
+                pair.append((reg_inc_beta(1.0 - z, 0.5, b), reg_inc_beta(z, b, 0.5)))
+            (p0, q0), (p1, q1) = pair
+            assert p1 == pytest.approx(p0, rel=4e-15)
+            assert q1 == pytest.approx(q0, rel=4e-15)
 
-    @pytest.mark.parametrize("d", [9803, 10**6, 48_148_663, 10**8])
-    def test_reflection_identity_at_the_switch_for_large_d(self, d):
-        """At z = (a+K)/(a+b+2K) the two sides of the identity evaluate
-        complementary fractions, so it checks their accuracy where the
-        accountant's shapes a = 1/2, b = (d+1)/2 change branch."""
-        a, b = 0.5, 0.5 * (d + 1)
-        z = 1.0 - (1.0 - (a + _SWITCH_K) / (a + b + 2.0 * _SWITCH_K))
-        assert reg_inc_beta(z, a, b) == pytest.approx(1.0 - reg_inc_beta(1.0 - z, b, a), abs=1e-12)
-
-    @pytest.mark.xfail(strict=True, reason="the Lentz fraction loses ~2e-9 at large a near z = 1")
     def test_cap_volume_shapes_at_d_1e8_against_mpmath(self):
         """I_{1−s²}((d+1)/2, 1/2), the call in geometry.cap_volume, at
         d = 10⁸ and s·√b = 0.1 … 7.9, within 1e-12 of 40-digit mpmath at the
-        same double z. The front factor is good to 1.1e-14 there; the
-        continued fraction is not: as its odd coefficient nears −z ≈ −1,
-        1 + aa·d falls to 1.6e-7, and the error reaches 2.3e-9 at
-        s·√b = 2.7."""
+        same double z. The continued fraction this replaced lost 2.3e-9 at
+        s·√b = 2.7; the expansion in w₀ = −log z is within 1.2e-14."""
         mpmath = pytest.importorskip("mpmath")
         b = 0.5 * (10**8 + 1)
         for t in np.arange(0.1, 8.0, 0.1):
@@ -237,16 +265,83 @@ class TestRegIncBeta:
             assert reg_inc_beta(z, b, 0.5) == pytest.approx(expected, rel=1e-12, abs=0.0), t
 
     def test_monotone_in_z(self):
+        """Both I_z(½, b) and I_z(b, ½) are nondecreasing over a 101-point grid,
+        for b from 0.2 to 10⁸ across every route of the evaluation."""
         rng = np.random.default_rng(4)
-        for _ in range(20):
-            a, b = rng.uniform(0.2, 15.0, 2)
-            values = [reg_inc_beta(z, a, b) for z in np.linspace(0.0, 1.0, 101)]
-            assert all(v2 >= v1 for v1, v2 in zip(values, values[1:]))
+        for b in [*rng.uniform(0.2, 15.0, 20), *(10.0 ** rng.uniform(1.0, 8.0, 20))]:
+            for shapes in ((0.5, float(b)), (float(b), 0.5)):
+                values = [reg_inc_beta(float(z), *shapes) for z in np.linspace(0.0, 1.0, 101)]
+                assert all(v2 >= v1 for v1, v2 in zip(values, values[1:]))
 
     @pytest.mark.parametrize("z", [-0.1, 1.1, 2.0])
     def test_domain_error(self, z):
         with pytest.raises(ValueError):
-            reg_inc_beta(z, 1.0, 1.0)
+            reg_inc_beta(z, 0.5, 1.0)
+
+    def test_general_half_shape_against_mpmath(self):
+        """b that are not multiples of ½ take the lift below _SUM_MAX_B: δ past
+        its median and the complement stay within 1e-14 of mpmath, δ below its
+        median within 1e-12 (the lift subtracts there)."""
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(15)
+        for _ in range(60):
+            b = float(10.0 ** rng.uniform(-2.0, math.log10(_SUM_MAX_B)))
+            x = float(rng.uniform(0.0, 1.0))
+            p, _ = mpmath_pair(b, x)
+            _, q = mpmath_pair(b, 1 - mpmath.mpf(1.0 - x))
+            assert reg_inc_beta(x, 0.5, b) == pytest.approx(float(p), rel=1e-12 if p < 0.5 else 1e-14)
+            assert reg_inc_beta(1.0 - x, b, 0.5) == pytest.approx(float(q), rel=1e-14)
+
+
+def _dimension_and_s():
+    """d log-uniform over 1 … 10⁸; s uniform in (0, 1), below 1e-100, or
+    at s·√b in (0, 8), where δ runs from 0 to 1."""
+    def scale(pair):
+        d, t = pair
+        return d, t / math.sqrt(0.5 * (d + 1))
+
+    dims = st.floats(0.0, 8.0).map(lambda e: max(1, round(10.0**e)))
+    return st.one_of(
+        st.tuples(dims, st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+        st.tuples(dims, st.floats(1e-300, 1e-100)),
+        st.tuples(dims, st.floats(1e-3, 8.0)).map(scale),
+    )
+
+
+class TestStudentTAgainstMpmath:
+    """δ = I_{s²}(½, (d+1)/2), as the accountant returns it, and its
+    complement I_{1−s²}((d+1)/2, ½), as geometry.cap_volume asks for it,
+    against mpmath at 40 digits."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(case=_dimension_and_s())
+    def test_property_delta_and_complement(self, case):
+        """δ within 2e-15 relative; the complement, at the double z = 1 − s²,
+        within 1e-13 relative while u = (b − ¼)·(−log z) ≤ 40, and within
+        3e-15·u past that: rounding w₀ = −log z alone moves e^{−u} by u·ε/2.
+        Complements below 1e-300 return 0 and are not compared."""
+        mpmath = pytest.importorskip("mpmath")
+        d, s = case
+        assume(0.0 < s < 1.0)
+        b = 0.5 * (d + 1)
+        z = 1.0 - s * s
+        u = (b - 0.25) * -math.log(z)
+        delta = per_step_delta(PrivacySpec(d, 2.0 * s, 1, 1))
+        if u > 690.0:  # the complement is below 1e-300
+            assert delta == 1.0 and reg_inc_beta(z, b, 0.5) < 1e-298
+            return
+        p, _ = mpmath_pair(b, mpmath.mpf(s) ** 2)
+        assert delta == pytest.approx(float(p), rel=2e-15)
+        _, q = mpmath_pair(b, 1 - mpmath.mpf(z))
+        assert reg_inc_beta(z, b, 0.5) == pytest.approx(float(q), rel=max(1e-13, 3e-15 * u))
+
+    def test_front_factor(self):
+        """1/(B(½, b)·√(b − ¼)) within 1e-15 relative for b from ½ to 10⁸."""
+        mpmath = pytest.importorskip("mpmath")
+        for b in np.geomspace(0.5, 1e8, 200):
+            with mpmath.workdps(40):
+                expected = 1 / (mpmath.beta(0.5, float(b)) * mpmath.sqrt(mpmath.mpf(float(b)) - 0.25))
+            assert half_shape_front(float(b)) == pytest.approx(float(expected), rel=1e-15)
 
 
 class TestSeriesDeltaOddD:
@@ -262,16 +357,20 @@ class TestSeriesDeltaOddD:
         """d=3, Δx=1: terms 1 and 0.5·0.75 sum to 1.375, halved to 0.6875."""
         assert series_delta_odd_d(1.0, 3) == pytest.approx(0.6875, abs=1e-15)
 
-    def test_agrees_with_continued_fraction(self):
-        """Series and continued fraction stay within 1e-10 for odd d ≤ 41."""
-        worst = 0.0
+    def test_odd_d_against_mpmath(self):
+        """The series, and reg_inc_beta where it takes the same sum (d ≤ 24)
+        or the expansion (d ≥ 25), within 2e-15 relative of 40-digit mpmath
+        for odd d ≤ 41 on a 50-point Δx grid; acceptance criterion 4
+        compares the two with each other."""
+        mpmath = pytest.importorskip("mpmath")
         for d in range(1, 42, 2):
-            params = (0.5, 0.5 * (d + 1))
-            for dx in np.linspace(0.0, 2.0, 50):
-                series = series_delta_odd_d(float(dx), d)
-                direct = reg_inc_beta((dx / 2.0) ** 2, *params)
-                worst = max(worst, abs(series - direct))
-        assert worst <= 1e-10
+            b = 0.5 * (d + 1)
+            for dx in np.linspace(0.0, 2.0, 50)[1:-1]:
+                half = 0.5 * float(dx)
+                with mpmath.workdps(40):
+                    expected = float(mpmath.betainc(0.5, b, 0, mpmath.mpf(half) ** 2, regularized=True))
+                assert series_delta_odd_d(float(dx), d) == pytest.approx(expected, rel=2e-15)
+                assert reg_inc_beta(half * half, 0.5, b) == pytest.approx(expected, rel=2e-15)
 
     def test_rejects_even_or_nonpositive_d(self):
         for d in (0, -3, 2, 10):
