@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .special import ConvergenceError, beta, half_shape_beta, half_shape_front
+from .special import ConvergenceError, half_shape_beta, half_shape_front
 
 _BISECT_TOL = 1e-13
 _TINY_S = 1e-100  # below this s² underflows, and δ takes its first-order form
@@ -142,13 +142,14 @@ def radius_for_target(d: int, delta_x: float, target_per_step_delta: float) -> f
     if not delta_x > 0.0:
         raise ValueError(f"delta_x must be positive, got {delta_x}")
     PrivacySpec(d, delta_x, 1, 1)  # checks d; every radius below is positive
+    b = 0.5 * (d + 1)
+    front = half_shape_front(b)  # 1/B(1/2, b) = front·√(b − 1/4)
     lo = 0.5 * delta_x  # δ = 1 here
-    hi = delta_x / ((1.0 - 1e-12) * beta(0.5, 0.5 * (d + 1))) / target_per_step_delta
+    hi = delta_x * (front * math.sqrt(b - 0.25)) / (1.0 - 1e-12) / target_per_step_delta
     if hi == float("inf"):
         raise ConvergenceError(
             f"no finite radius reaches target {target_per_step_delta} at delta_x {delta_x}"
         )
-    front = half_shape_front(0.5 * (d + 1))
     value = _delta(d, delta_x, hi, front)
     while target_per_step_delta - value > _BISECT_TOL:
         mid = 0.5 * lo + 0.5 * hi

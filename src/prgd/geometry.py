@@ -11,8 +11,11 @@ import numpy as np
 
 from .special import reg_inc_beta
 
-# Direction normalization rounds each component, so the radial factor is
-# backed off by 1e-14 to guarantee every computed norm lands inside the ball.
+# The row norm and the scaling round, so the radial factor is backed off by
+# 1e-14 to keep every draw inside the ball. Against a pairwise-summed norm,
+# draws were within 1e-15 relative of their target up to d = 10⁶; at d = 10⁸
+# they were up to 8.7e-15 off with one BLAS thread (1.4e-15 with two), which
+# leaves 1.3e-15 of the margin there.
 _RADIAL_BACKOFF = 1.0 - 1e-14
 
 
@@ -72,6 +75,19 @@ def overlap_volume(spec: BallSpec, delta_x: float) -> float:
     return 2.0 * cap_volume(spec, delta_x / (2.0 * spec.radius))
 
 
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a (size, d) array.
+
+    vecdot takes the dot kernel that np.linalg.norm uses for one vector, so
+    each value is np.linalg.norm(row) to the last bit. At 2¹⁸ rows it is 3
+    to 4 times faster than norm(v, axis=1) for d from 2 to 21. einsum
+    ("ij,ij->i") is faster still at small d, but was 1.4e-14 relative off at
+    d = 10⁶, past _RADIAL_BACKOFF. Past 10⁴ columns OpenBLAS splits the dot
+    over its threads, so the last bits there follow the BLAS thread count.
+    """
+    return np.sqrt(np.vecdot(v, v))
+
+
 def sample_ball(spec: BallSpec, rng: np.random.Generator, size: int) -> np.ndarray:
     """``size`` uniform draws from the solid ball, shape (size, d).
 
@@ -81,9 +97,11 @@ def sample_ball(spec: BallSpec, rng: np.random.Generator, size: int) -> np.ndarr
     single generator must not be shared across threads.
     """
     v = rng.standard_normal((size, spec.d))
-    norms = np.linalg.norm(v, axis=1, keepdims=True)
-    radii = (spec.radius * _RADIAL_BACKOFF) * rng.random((size, 1)) ** (1.0 / spec.d)
-    v *= radii / norms
+    radii = rng.random(size)
+    radii **= 1.0 / spec.d
+    radii *= spec.radius * _RADIAL_BACKOFF
+    radii /= _row_norms(v)
+    v *= radii[:, np.newaxis]
     return v
 
 
@@ -91,8 +109,9 @@ def sample_sphere_surface(spec: BallSpec, rng: np.random.Generator, size: int) -
     """``size`` uniform draws from the sphere of radius ``spec.radius``,
     shape (size, d).
 
-    Every returned vector has norm within 1e-12 of the radius.
+    Every returned vector has norm within 2e-15 relative of the radius up to
+    d = 10⁶.
     """
     v = rng.standard_normal((size, spec.d))
-    v *= spec.radius / np.linalg.norm(v, axis=1, keepdims=True)
+    v *= (spec.radius / _row_norms(v))[:, np.newaxis]
     return v

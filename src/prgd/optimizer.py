@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .accountant import DeltaReport, PrivacySpec, overall_delta
-from .geometry import BallSpec, sample_ball
+from .geometry import BallSpec, _row_norms, sample_ball
 from .rng import derive_rng
 
 _SLACK = 1e-12  # relative slack on the pruning bounds of the sensitivity scan
@@ -160,8 +160,7 @@ class RunTrace:
         for start in range(0, self.steps, block):
             rows = slice(start, min(start + block, self.steps))
             g, e = self.gradients[rows], self.noises[rows]
-            # the 1-D norm's dot kernel, so each field is np.linalg.norm(row)
-            norms = np.sqrt(np.vecdot(g, g)), np.sqrt(np.vecdot(e, e))
+            norms = _row_norms(g), _row_norms(e)  # each field is np.linalg.norm(row)
             values = np.column_stack((self.losses[rows], *norms, self.iterates[rows])).tolist()
             for t, idx, row in zip(range(start, rows.stop), self.data_indices[rows].tolist(), values):
                 yield " ".join(map(repr, (t, idx, *row)))

@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import BallSpec, overlap_volume, sample_ball, sample_sphere_surface
+from .geometry import BallSpec, _row_norms, overlap_volume, sample_ball, sample_sphere_surface
 from .optimizer import LossModel
 from .rng import derive_rng
 
@@ -116,7 +116,7 @@ def mc_tv_distance(
     def count_chunk(stream: int, size: int) -> int:
         pts = sample_ball(spec, derive_rng(seed, stream), size)
         pts[:, 0] -= delta_x
-        return int(np.count_nonzero(np.einsum("ij,ij->i", pts, pts) <= r_sq))
+        return int(np.count_nonzero(np.vecdot(pts, pts) <= r_sq))
 
     inside_both = _sum_over_chunks(count_chunk, samples)
     return _proportion(samples - inside_both, samples, seed)
@@ -217,9 +217,9 @@ def surface_noise_distinguisher(
         labels = rng.integers(0, 2, size=size)
         pts = sampler(spec, rng, size)
         pts[:, 0] += labels * delta_x
-        dist0 = np.linalg.norm(pts, axis=1)
+        dist0 = _row_norms(pts)
         pts[:, 0] -= delta_x
-        dist1 = np.linalg.norm(pts, axis=1)
+        dist1 = _row_norms(pts)
         if noise == "surface":
             ok0 = np.abs(dist0 - 1.0) <= _SURFACE_DISTANCE_TOL
             ok1 = np.abs(dist1 - 1.0) <= _SURFACE_DISTANCE_TOL
@@ -227,7 +227,7 @@ def surface_noise_distinguisher(
             ok0 = dist0 <= 1.0 + 1e-12
             ok1 = dist1 <= 1.0 + 1e-12
         guesses = rng.integers(0, 2, size=size)
-        assigned = np.where(ok0 ^ ok1, np.where(ok0, 0, 1), guesses)
+        assigned = np.where(ok0 ^ ok1, ok1, guesses)
         return int(np.count_nonzero(assigned == labels))
 
     correct = _sum_over_chunks(count_chunk, samples)

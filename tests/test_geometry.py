@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from prgd.geometry import (
+    _RADIAL_BACKOFF,
     BallSpec,
     ball_volume,
     cap_volume,
@@ -197,3 +198,28 @@ class TestSampleSphereSurface:
         a = sample_sphere_surface(BallSpec(3), derive_rng(1), 100)
         b = sample_sphere_surface(BallSpec(3), derive_rng(1), 100)
         np.testing.assert_array_equal(a, b)
+
+
+class TestSamplerRounding:
+    """Each sampled norm, taken by pairwise summation, against the radius the
+    sampler aims at, found by replaying its stream: the normals, then the
+    uniforms. A row-norm kernel that drifts by 1e-14 at large d, as
+    einsum("ij,ij->i") does at d = 10⁶, would eat all of _RADIAL_BACKOFF."""
+
+    @pytest.mark.parametrize(
+        "d, rows", [(1, 4096), (2, 4096), (3, 4096), (21, 4096), (1000, 512), (10**6, 4)]
+    )
+    def test_norms_within_2e_15_of_their_target(self, d, rows):
+        radius = 2.5
+        replay = derive_rng(41, d)
+        replay.standard_normal((rows, d))
+        target = radius * _RADIAL_BACKOFF * replay.random(rows) ** (1.0 / d)
+
+        ball = sample_ball(BallSpec(d, radius), derive_rng(41, d), rows)
+        norms = np.sqrt(np.add.reduce(ball * ball, axis=1))
+        assert np.abs(norms / target - 1.0).max() <= 2e-15
+        assert norms.max() <= radius
+
+        sphere = sample_sphere_surface(BallSpec(d, radius), derive_rng(41, d), rows)
+        norms = np.sqrt(np.add.reduce(sphere * sphere, axis=1))
+        assert np.abs(norms / radius - 1.0).max() <= 2e-15

@@ -56,10 +56,18 @@ class TestMcTvDistance:
         assert abs(float(np.mean(values)) - analytic) <= 3.0 * pooled_se
 
     def test_worker_count_does_not_change_result(self, monkeypatch):
-        baseline = mc_tv_distance(3, 1.0, 1.0, 600_000, 5)
-        monkeypatch.setenv(WORKERS_ENV, "3")
-        fanned = mc_tv_distance(3, 1.0, 1.0, 600_000, 5)
-        assert fanned == baseline
+        """Both oracles, and the surface attack with either noise, give the
+        same estimate at 1 and 3 workers."""
+        estimates = (
+            lambda: mc_tv_distance(3, 1.0, 1.0, 600_000, 5),
+            lambda: surface_noise_distinguisher(3, 1.0, 600_000, 5, "surface"),
+            lambda: surface_noise_distinguisher(3, 1.0, 600_000, 5, "ball"),
+        )
+        for estimate in estimates:
+            monkeypatch.delenv(WORKERS_ENV, raising=False)
+            baseline = estimate()
+            monkeypatch.setenv(WORKERS_ENV, "3")
+            assert estimate() == baseline
 
     def test_rejects_bad_worker_env(self, monkeypatch):
         """Out of range or not an integer: the message names the variable."""
