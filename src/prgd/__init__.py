@@ -32,7 +32,6 @@ from .optimizer import (
 from .rng import derive_rng
 from .special import (
     ConvergenceError,
-    beta,
     reg_inc_beta,
     reg_inc_beta_derivative,
     series_delta_odd_d,
@@ -59,7 +58,6 @@ __all__ = [
     "RunConfig",
     "RunTrace",
     "ball_volume",
-    "beta",
     "builtin_losses",
     "cap_volume",
     "closed_form_overlap_check",

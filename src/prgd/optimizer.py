@@ -160,7 +160,7 @@ class RunTrace:
         for start in range(0, self.steps, block):
             rows = slice(start, min(start + block, self.steps))
             g, e = self.gradients[rows], self.noises[rows]
-            norms = _row_norms(g), _row_norms(e)  # each field is np.linalg.norm(row)
+            norms = _row_norms(g), _row_norms(e)  # np.linalg.norm(row) to the last bit up to p = 2¹³
             values = np.column_stack((self.losses[rows], *norms, self.iterates[rows])).tolist()
             for t, idx, row in zip(range(start, rows.stop), self.data_indices[rows].tolist(), values):
                 yield " ".join(map(repr, (t, idx, *row)))

@@ -23,7 +23,14 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import BallSpec, _row_norms, overlap_volume, sample_ball, sample_sphere_surface
+from .geometry import (
+    BallSpec,
+    _row_norms,
+    _squared_row_norms,
+    overlap_volume,
+    sample_ball,
+    sample_sphere_surface,
+)
 from .optimizer import LossModel
 from .rng import derive_rng
 
@@ -116,7 +123,7 @@ def mc_tv_distance(
     def count_chunk(stream: int, size: int) -> int:
         pts = sample_ball(spec, derive_rng(seed, stream), size)
         pts[:, 0] -= delta_x
-        return int(np.count_nonzero(np.vecdot(pts, pts) <= r_sq))
+        return int(np.count_nonzero(_squared_row_norms(pts) <= r_sq))
 
     inside_both = _sum_over_chunks(count_chunk, samples)
     return _proportion(samples - inside_both, samples, seed)

@@ -5,10 +5,15 @@ sampler distributions are checked against exact uniform-ball moments.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import prgd
 from prgd.geometry import (
     _RADIAL_BACKOFF,
     BallSpec,
@@ -207,7 +212,8 @@ class TestSamplerRounding:
     einsum("ij,ij->i") does at d = 10⁶, would eat all of _RADIAL_BACKOFF."""
 
     @pytest.mark.parametrize(
-        "d, rows", [(1, 4096), (2, 4096), (3, 4096), (21, 4096), (1000, 512), (10**6, 4)]
+        "d, rows",
+        [(1, 4096), (2, 4096), (3, 4096), (21, 4096), (1000, 512), (10**6, 4), (10**7 + 1, 2)],
     )
     def test_norms_within_2e_15_of_their_target(self, d, rows):
         radius = 2.5
@@ -219,7 +225,32 @@ class TestSamplerRounding:
         norms = np.sqrt(np.add.reduce(ball * ball, axis=1))
         assert np.abs(norms / target - 1.0).max() <= 2e-15
         assert norms.max() <= radius
+        del ball, norms
 
         sphere = sample_sphere_surface(BallSpec(d, radius), derive_rng(41, d), rows)
         norms = np.sqrt(np.add.reduce(sphere * sphere, axis=1))
         assert np.abs(norms / radius - 1.0).max() <= 2e-15
+
+    def test_draws_do_not_follow_the_blas_thread_count(self):
+        """Past 10⁴ columns OpenBLAS splits one dot product over its threads;
+        the row norm's blocks stay below that, so a seed gives the same draws
+        at one and at two BLAS threads."""
+        script = (
+            "import hashlib; from prgd.geometry import BallSpec, sample_ball, sample_sphere_surface; "
+            "from prgd.rng import derive_rng; spec = BallSpec(10**5 + 3); "
+            "print(hashlib.sha1(sample_ball(spec, derive_rng(5), 8).tobytes()"
+            " + sample_sphere_surface(spec, derive_rng(6), 8).tobytes()).hexdigest())"
+        )
+        src = str(Path(prgd.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        digests = [
+            subprocess.run(
+                [sys.executable, "-c", script],
+                capture_output=True,
+                text=True,
+                check=True,
+                env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads},
+            ).stdout
+            for threads in ("1", "2")
+        ]
+        assert digests[0] and digests[0] == digests[1]

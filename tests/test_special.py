@@ -22,7 +22,6 @@ from prgd.special import (
     _U_MID,
     _W_MAX,
     _log_beta,
-    beta,
     half_shape_front,
     reg_inc_beta,
     reg_inc_beta_derivative,
@@ -64,7 +63,7 @@ def mpmath_pair(b: float, x):
 
 
 class TestLogGamma:
-    """math.lgamma, which beta, reg_inc_beta and ball_volume call directly:
+    """math.lgamma, which _log_beta, reg_inc_beta and ball_volume call directly:
     the exact-factorial oracles pin the accuracy those constants rely on."""
 
     def test_gamma_of_one_is_zero(self):
@@ -106,35 +105,7 @@ class TestLogGamma:
         """Nonpositive shapes never reach math.lgamma, which returns a finite
         value at -0.5: the callers reject them."""
         with pytest.raises(ValueError):
-            beta(x, 1.0)
-        with pytest.raises(ValueError):
             reg_inc_beta(0.5, x, 1.0)
-
-
-class TestBeta:
-    def test_unit_case(self):
-        assert beta(1.0, 1.0) == pytest.approx(1.0, rel=1e-13)
-
-    def test_half_one(self):
-        """B(1/2, 1) = Γ(1/2)Γ(1)/Γ(3/2) = 2."""
-        assert beta(0.5, 1.0) == pytest.approx(2.0, rel=1e-13)
-
-    def test_half_two(self):
-        """B(1/2, 2) = √π / (1.5 · 0.5 · √π) = 4/3."""
-        assert beta(0.5, 2.0) == pytest.approx(4.0 / 3.0, rel=1e-13)
-
-    def test_symmetry_and_reduction(self):
-        """B(a, b) = B(b, a) and B(a, 1) = 1/a."""
-        rng = np.random.default_rng(3)
-        for _ in range(200):
-            a, b = rng.uniform(0.05, 30.0, 2)
-            assert beta(a, b) == pytest.approx(beta(b, a), rel=1e-12)
-            assert beta(a, 1.0) == pytest.approx(1.0 / a, rel=1e-12)
-
-    @pytest.mark.parametrize("a,b", [(0.0, 1.0), (1.0, 0.0), (-2.0, 3.0)])
-    def test_domain_error(self, a, b):
-        with pytest.raises(ValueError):
-            beta(a, b)
 
 
 class TestLogBeta:
