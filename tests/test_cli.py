@@ -365,7 +365,7 @@ class TestRun:
         assert report["sensitivity"] == "0.5"
         assert report["sensitivity_provenance"] == "given"
         assert float(report["per_step_delta"]) == pytest.approx(
-            per_step_delta(PrivacySpec(2, 0.5, 30, 200)), rel=1e-11
+            per_step_delta(PrivacySpec(2, 0.5, 30, 200)), rel=1e-11, abs=0.0
         )
 
     def test_given_sensitivity_skips_the_scan(self, tmp_path, capsys, monkeypatch):

@@ -44,13 +44,13 @@ class TestBallSpec:
 
 class TestBallVolume:
     def test_interval(self):
-        assert ball_volume(BallSpec(1)) == pytest.approx(2.0, rel=1e-12)
+        assert ball_volume(BallSpec(1)) == pytest.approx(2.0, rel=1e-12, abs=0.0)
 
     def test_disk(self):
-        assert ball_volume(BallSpec(2)) == pytest.approx(math.pi, rel=1e-12)
+        assert ball_volume(BallSpec(2)) == pytest.approx(math.pi, rel=1e-12, abs=0.0)
 
     def test_sphere(self):
-        assert ball_volume(BallSpec(3)) == pytest.approx(4.0 * math.pi / 3.0, rel=1e-12)
+        assert ball_volume(BallSpec(3)) == pytest.approx(4.0 * math.pi / 3.0, rel=1e-12, abs=0.0)
 
     def test_radius_scaling(self):
         rng = np.random.default_rng(2)
@@ -58,13 +58,13 @@ class TestBallVolume:
             d = int(rng.integers(1, 30))
             r = float(rng.uniform(0.1, 5.0))
             assert ball_volume(BallSpec(d, r)) == pytest.approx(
-                r**d * ball_volume(BallSpec(d)), rel=1e-12
+                r**d * ball_volume(BallSpec(d)), rel=1e-12, abs=0.0
             )
 
     def test_volume_in_range_when_the_power_is_not(self):
         """2000¹⁰⁰ is past the double range, the volume (about 3e290) is not."""
         log_volume = 100 * math.log(2000.0) + 50 * math.log(math.pi) - math.lgamma(51.0)
-        assert ball_volume(BallSpec(100, 2000.0)) == pytest.approx(math.exp(log_volume), rel=1e-12)
+        assert ball_volume(BallSpec(100, 2000.0)) == pytest.approx(math.exp(log_volume), rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("call", [
         lambda: ball_volume(BallSpec(2, 1e200)),
@@ -81,7 +81,7 @@ class TestCapVolume:
     def test_hemisphere(self):
         for d in (1, 2, 3, 7):
             spec = BallSpec(d)
-            assert cap_volume(spec, 0.0) == pytest.approx(ball_volume(spec) / 2.0, rel=1e-12)
+            assert cap_volume(spec, 0.0) == pytest.approx(ball_volume(spec) / 2.0, rel=1e-12, abs=0.0)
 
     def test_empty_cap(self):
         for d in (1, 2, 3, 7):
@@ -89,12 +89,12 @@ class TestCapVolume:
 
     def test_three_dimensional_closed_form(self):
         """h=1/2 cap of the unit sphere: πh²(3−h)/3 = 0.625π/3."""
-        assert cap_volume(BallSpec(3), 0.5) == pytest.approx(0.625 * math.pi / 3.0, rel=1e-12)
+        assert cap_volume(BallSpec(3), 0.5) == pytest.approx(0.625 * math.pi / 3.0, rel=1e-12, abs=0.0)
 
     def test_continuous_at_endpoints(self):
         for d in (1, 2, 5):
             spec = BallSpec(d)
-            assert cap_volume(spec, 1e-9) == pytest.approx(ball_volume(spec) / 2.0, rel=1e-6)
+            assert cap_volume(spec, 1e-9) == pytest.approx(ball_volume(spec) / 2.0, rel=1e-6, abs=0.0)
             assert cap_volume(spec, 1.0 - 1e-9) == pytest.approx(0.0, abs=1e-6)
 
     def test_domain_error(self):
@@ -115,7 +115,7 @@ class TestOverlapVolume:
 
     def test_three_dimensional_value(self):
         """Twice the h=1/2 cap: 1.25π/3."""
-        assert overlap_volume(BallSpec(3), 1.0) == pytest.approx(1.25 * math.pi / 3.0, rel=1e-12)
+        assert overlap_volume(BallSpec(3), 1.0) == pytest.approx(1.25 * math.pi / 3.0, rel=1e-12, abs=0.0)
 
     def test_monotone_nonincreasing(self):
         for d in (1, 2, 6, 15):

@@ -564,7 +564,7 @@ class TestEstimateSensitivity:
         """‖a‖² + ‖b‖² − 2a·b on the raw rows rounds the 1e-3 gap between
         two gradients of norm 1e8 to 0; the scan must still see it."""
         data = Dataset([[1e8, 0.0], [1e8, 1e-3]], [0.0, 0.0])
-        assert estimate_sensitivity(data, linear_loss(2), [np.zeros(2)]) == pytest.approx(1e-3, rel=1e-12)
+        assert estimate_sensitivity(data, linear_loss(2), [np.zeros(2)]) == pytest.approx(1e-3, rel=1e-12, abs=0.0)
 
     def test_clip_caps_the_bound(self):
         """The unclipped scan sees the full gap 10; a clipped run is certified
@@ -602,7 +602,7 @@ class TestEstimateSensitivity:
             rows = rng.standard_normal((2, p))
         data = Dataset(rows, np.zeros(len(rows)))
         got = estimate_sensitivity(data, linear_loss(p), [np.zeros(p)])
-        assert got == pytest.approx(brute_force_diameter(rows), rel=1e-12)
+        assert got == pytest.approx(brute_force_diameter(rows), rel=1e-12, abs=math.ulp(0.0))  # one row: 0
 
     def test_unit_sphere_matches_brute_force(self):
         """Every row is equally far from the mean, so nothing is pruned and
@@ -612,7 +612,7 @@ class TestEstimateSensitivity:
         rows /= np.linalg.norm(rows, axis=1, keepdims=True)
         data = Dataset(rows, np.zeros(len(rows)))
         got = estimate_sensitivity(data, linear_loss(3), [np.zeros(3)])
-        assert got == pytest.approx(brute_force_diameter(rows), rel=1e-12)
+        assert got == pytest.approx(brute_force_diameter(rows), rel=1e-12, abs=0.0)
 
     def test_all_duplicate_rows_are_exactly_zero(self):
         data = Dataset([[0.1, -2.7, 1e8]] * 64, [0.0] * 64)
@@ -628,8 +628,8 @@ class TestEstimateSensitivity:
         probes = [np.full(4, 3.0), np.ones(4), [0.5, 2.0, 1.0, 0.1], np.full(4, 2.0)][::order]
         expected = max(brute_force_diameter(features * np.asarray(w)) for w in probes)
         got = estimate_sensitivity(data, stretch_loss(4), probes)
-        assert got == pytest.approx(expected, rel=1e-12)
-        assert got == pytest.approx(brute_force_diameter(features * 3.0), rel=1e-12)
+        assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
+        assert got == pytest.approx(brute_force_diameter(features * 3.0), rel=1e-12, abs=0.0)
 
     def test_later_far_row_dismisses_an_earlier_probe(self, monkeypatch):
         """A scale-1 probe before a scale-3 probe in one block: the scale-3
@@ -648,7 +648,7 @@ class TestEstimateSensitivity:
         monkeypatch.setattr(optimizer, "_sweep", counting)
         got = estimate_sensitivity(data, stretch_loss(4), [np.ones(4), np.full(4, 3.0)])
         assert len(sweeps) == 1
-        assert got == pytest.approx(brute_force_diameter(features * 3.0), rel=1e-12)
+        assert got == pytest.approx(brute_force_diameter(features * 3.0), rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("table_entries", [60, 200, 1000])
@@ -665,7 +665,7 @@ class TestEstimateSensitivity:
         data = Dataset(features, np.zeros(30))
         expected = max(brute_force_diameter(features * w) for w in probes)
         got = estimate_sensitivity(data, stretch_loss(2), probes)
-        assert got == pytest.approx(expected, rel=1e-12)
+        assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_non_finite_gradient_table_raises(self):
         """At w = 0 the gradient of record 0 overflows to −inf while the loss

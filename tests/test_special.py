@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from prgd.accountant import PrivacySpec, per_step_delta
@@ -62,6 +62,14 @@ def mpmath_pair(b: float, x):
             extra = lost + 5
 
 
+def one_minus(z: float):
+    """1 − z for a double z, exactly; at mpmath's default 53 bits the
+    subtraction rounds, which moves I_z(b, ½) by up to b·ε·(1 − z)/(2z) relative."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        return 1 - mpmath.mpf(z)
+
+
 class TestLogGamma:
     """math.lgamma, which _log_beta, reg_inc_beta and ball_volume call directly:
     the exact-factorial oracles pin the accuracy those constants rely on."""
@@ -71,7 +79,7 @@ class TestLogGamma:
 
     def test_half_integer(self):
         """Γ(1/2) = √π."""
-        assert math.lgamma(0.5) == pytest.approx(math.log(math.sqrt(math.pi)), rel=1e-14)
+        assert math.lgamma(0.5) == pytest.approx(math.log(math.sqrt(math.pi)), rel=1e-14, abs=0.0)
 
     def test_factorial_value(self):
         """Γ(11) = 10!, computed by integer product."""
@@ -79,14 +87,14 @@ class TestLogGamma:
         for k in range(2, 11):
             fact *= k
         assert fact == 3628800
-        assert math.lgamma(11.0) == pytest.approx(math.log(fact), rel=1e-14)
+        assert math.lgamma(11.0) == pytest.approx(math.log(fact), rel=1e-14, abs=0.0)
 
     def test_integer_grid_against_exact_factorials(self):
         """Relative error stays under 1e-13 across integers in [2, 170]."""
         fact = 1
         for n in range(2, 171):
             fact *= n - 1
-            assert math.lgamma(float(n)) == pytest.approx(math.log(fact), rel=1e-13)
+            assert math.lgamma(float(n)) == pytest.approx(math.log(fact), rel=1e-13, abs=math.ulp(0.0))  # log 1! = 0
 
     def test_half_integer_grid_against_exact_ratios(self):
         """Γ(n + 1/2) = (2n)! √π / (4^n n!), exact rational times √π."""
@@ -175,7 +183,7 @@ class TestRegIncBeta:
             n = int(rng.integers(1, 40))
             z = float(rng.uniform(0.01, 0.99))
             expected = finite_sum_reg_inc_beta(z, 0.5, n)
-            assert reg_inc_beta(z, 0.5, float(n)) == pytest.approx(expected, rel=1e-14)
+            assert reg_inc_beta(z, 0.5, float(n)) == pytest.approx(expected, rel=1e-14, abs=0.0)
             assert reg_inc_beta(1.0 - z, float(n), 0.5) == pytest.approx(1.0 - expected, abs=1e-14)
 
     def test_symmetry_identity(self):
@@ -208,18 +216,26 @@ class TestRegIncBeta:
     @pytest.mark.parametrize("d", [24, 25, 9803, 10**6, 48_148_663, 10**8])
     def test_continuous_across_the_seams(self, d):
         """Where the evaluation changes route, at u = (b − ¼)·w₀ = _U_MID and
-        at w₀ = _W_MAX, the values just below and just above agree to 4e-15
-        relative, δ and complement alike; d = 24 and 25 sit on either side of
-        _SUM_MAX_B."""
+        at w₀ = _W_MAX, the values just below and just above are each within
+        2e-15 relative of 40-digit mpmath at their own z, δ and complement
+        alike; d = 24 and 25 sit on either side of _SUM_MAX_B. The sides are
+        not compared with each other: their z differ by about 8e-16 relative,
+        which moves the complement, about z^b, by b times that. Where u passes
+        690 the complement is below 1e-300: there δ is 1 and the complement 0
+        on both sides."""
+        mpmath = pytest.importorskip("mpmath")
         b = 0.5 * (d + 1)
         for w0 in (_U_MID / (b - 0.25), _W_MAX):
-            pair = []
             for w in (math.nextafter(w0, 0.0), math.nextafter(w0, math.inf)):
                 z = math.exp(-w)
-                pair.append((reg_inc_beta(1.0 - z, 0.5, b), reg_inc_beta(z, b, 0.5)))
-            (p0, q0), (p1, q1) = pair
-            assert p1 == pytest.approx(p0, rel=4e-15)
-            assert q1 == pytest.approx(q0, rel=4e-15)
+                p, q = reg_inc_beta(1.0 - z, 0.5, b), reg_inc_beta(z, b, 0.5)
+                if (b - 0.25) * w > 690.0:
+                    assert (p, q) == (1.0, 0.0)
+                    continue
+                expected, _ = mpmath_pair(b, 1.0 - z)
+                _, complement = mpmath_pair(b, one_minus(z))
+                assert p == pytest.approx(float(expected), rel=2e-15, abs=0.0), w
+                assert q == pytest.approx(float(complement), rel=2e-15, abs=0.0), w
 
     def test_cap_volume_shapes_at_d_1e8_against_mpmath(self):
         """I_{1−s²}((d+1)/2, 1/2), the call in geometry.cap_volume, at
@@ -259,9 +275,9 @@ class TestRegIncBeta:
             b = float(10.0 ** rng.uniform(-2.0, math.log10(_SUM_MAX_B)))
             x = float(rng.uniform(0.0, 1.0))
             p, _ = mpmath_pair(b, x)
-            _, q = mpmath_pair(b, 1 - mpmath.mpf(1.0 - x))
-            assert reg_inc_beta(x, 0.5, b) == pytest.approx(float(p), rel=1e-12 if p < 0.5 else 1e-14)
-            assert reg_inc_beta(1.0 - x, b, 0.5) == pytest.approx(float(q), rel=1e-14)
+            _, q = mpmath_pair(b, one_minus(1.0 - x))
+            assert reg_inc_beta(x, 0.5, b) == pytest.approx(float(p), rel=1e-12 if p < 0.5 else 1e-14, abs=0.0)
+            assert reg_inc_beta(1.0 - x, b, 0.5) == pytest.approx(float(q), rel=1e-14, abs=0.0)
 
 
 def _dimension_and_s():
@@ -286,11 +302,14 @@ class TestStudentTAgainstMpmath:
 
     @settings(max_examples=120, deadline=None)
     @given(case=_dimension_and_s())
+    @example(case=(10, 5e-324))
     def test_property_delta_and_complement(self, case):
-        """δ within 2e-15 relative; the complement, at the double z = 1 − s²,
-        within 1e-13 relative while u = (b − ¼)·(−log z) ≤ 40, and within
-        3e-15·u past that: rounding w₀ = −log z alone moves e^{−u} by u·ε/2.
-        Complements below 1e-300 return 0 and are not compared."""
+        """δ within 2e-15 relative, or within one subnormal step below the
+        normal range, where δ and the reference each round once to that grid;
+        the complement, at the double z = 1 − s², within 1e-13 relative while
+        u = (b − ¼)·(−log z) ≤ 40, and within 3e-15·u past that: rounding
+        w₀ = −log z alone moves e^{−u} by u·ε/2. Complements below 1e-300
+        return 0 and are not compared."""
         mpmath = pytest.importorskip("mpmath")
         d, s = case
         assume(0.0 < s < 1.0)
@@ -302,9 +321,9 @@ class TestStudentTAgainstMpmath:
             assert delta == 1.0 and reg_inc_beta(z, b, 0.5) < 1e-298
             return
         p, _ = mpmath_pair(b, mpmath.mpf(s) ** 2)
-        assert delta == pytest.approx(float(p), rel=2e-15)
-        _, q = mpmath_pair(b, 1 - mpmath.mpf(z))
-        assert reg_inc_beta(z, b, 0.5) == pytest.approx(float(q), rel=max(1e-13, 3e-15 * u))
+        assert delta == pytest.approx(float(p), rel=2e-15, abs=math.ulp(0.0))
+        _, q = mpmath_pair(b, one_minus(z))
+        assert reg_inc_beta(z, b, 0.5) == pytest.approx(float(q), rel=max(1e-13, 3e-15 * u), abs=0.0)
 
     def test_front_factor(self):
         """1/(B(½, b)·√(b − ¼)) within 1e-15 relative for b from ½ to 10⁸."""
@@ -312,7 +331,7 @@ class TestStudentTAgainstMpmath:
         for b in np.geomspace(0.5, 1e8, 200):
             with mpmath.workdps(40):
                 expected = 1 / (mpmath.beta(0.5, float(b)) * mpmath.sqrt(mpmath.mpf(float(b)) - 0.25))
-            assert half_shape_front(float(b)) == pytest.approx(float(expected), rel=1e-15)
+            assert half_shape_front(float(b)) == pytest.approx(float(expected), rel=1e-15, abs=0.0)
 
 
 class TestSeriesDeltaOddD:
@@ -340,8 +359,8 @@ class TestSeriesDeltaOddD:
                 half = 0.5 * float(dx)
                 with mpmath.workdps(40):
                     expected = float(mpmath.betainc(0.5, b, 0, mpmath.mpf(half) ** 2, regularized=True))
-                assert series_delta_odd_d(float(dx), d) == pytest.approx(expected, rel=2e-15)
-                assert reg_inc_beta(half * half, 0.5, b) == pytest.approx(expected, rel=2e-15)
+                assert series_delta_odd_d(float(dx), d) == pytest.approx(expected, rel=2e-15, abs=0.0)
+                assert reg_inc_beta(half * half, 0.5, b) == pytest.approx(expected, rel=2e-15, abs=0.0)
 
     def test_rejects_even_or_nonpositive_d(self):
         for d in (0, -3, 2, 10):
@@ -357,11 +376,11 @@ class TestSeriesDeltaOddD:
 class TestRegIncBetaDerivative:
     def test_quarter_point_one_dimension(self):
         """z=1/4, d=1: z^{-1/2}/B(1/2, 1) = 2/2 = 1."""
-        assert reg_inc_beta_derivative(0.25, 1) == pytest.approx(1.0, rel=1e-12)
+        assert reg_inc_beta_derivative(0.25, 1) == pytest.approx(1.0, rel=1e-12, abs=0.0)
 
     def test_half_point_one_dimension(self):
         """z=1/2, d=1: 1/(√2·B(1/2,1)·...) reduces to 1/√2."""
-        assert reg_inc_beta_derivative(0.5, 1) == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-12)
+        assert reg_inc_beta_derivative(0.5, 1) == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-12, abs=0.0)
 
     def test_strictly_positive(self):
         rng = np.random.default_rng(5)

@@ -139,12 +139,12 @@ class TestClosedFormOverlapCheck:
     def test_interval_overlap(self):
         analytic, closed = closed_form_overlap_check(1, 0.5)
         assert closed == 1.5
-        assert analytic == pytest.approx(1.5, rel=1e-12)
+        assert analytic == pytest.approx(1.5, rel=1e-12, abs=0.0)
 
     def test_sphere_overlap(self):
         analytic, closed = closed_form_overlap_check(3, 1.0)
-        assert closed == pytest.approx(1.25 * math.pi / 3.0, rel=1e-14)
-        assert analytic == pytest.approx(closed, rel=1e-10)
+        assert closed == pytest.approx(1.25 * math.pi / 3.0, rel=1e-14, abs=0.0)
+        assert analytic == pytest.approx(closed, rel=1e-10, abs=0.0)
 
     def test_tangent_disks(self):
         """Δx = 2r gives exactly 0 from every closed form, at any radius."""
@@ -164,7 +164,7 @@ class TestClosedFormOverlapCheck:
 
     def test_scales_with_radius(self):
         analytic, closed = closed_form_overlap_check(2, 1.0, radius=2.0)
-        assert analytic == pytest.approx(closed, rel=1e-10)
+        assert analytic == pytest.approx(closed, rel=1e-10, abs=0.0)
 
     def test_rejects_high_dimension(self):
         with pytest.raises(ValueError):
