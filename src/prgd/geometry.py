@@ -29,8 +29,8 @@ class BallSpec:
     def __post_init__(self) -> None:
         if not (self.d >= 1 and self.d % 1 == 0):  # false for inf and nan
             raise ValueError(f"dimension must be a positive integer, got {self.d}")
-        if not self.radius > 0.0:
-            raise ValueError(f"radius must be positive, got {self.radius}")
+        if not 0.0 < self.radius < math.inf:  # false for nan
+            raise ValueError(f"radius must be positive and finite, got {self.radius}")
 
 
 def ball_volume(spec: BallSpec) -> float:

@@ -8,9 +8,11 @@ overlap volumes, finite differences check loss gradients, and the
 distance-matching attack demonstrates why surface-sampled noise offers no
 privacy while volume-sampled noise does.
 
-Monte Carlo loops are split into fixed-size chunks, chunk k drawing from
-stream (seed, k); the PRGD_MC_WORKERS environment variable may fan the
-chunks out over threads without changing any result.
+Monte Carlo loops are split into chunks of ⌊2¹⁶/d⌋ rows (at least one),
+so each chunk's sampler call draws at most max(2¹⁶, d) normals whatever the
+sample count, 512 KB of doubles up to d = 2¹⁶; chunk k draws from stream
+(seed, k). The PRGD_MC_WORKERS environment variable may fan the chunks out
+over threads without changing any result.
 """
 
 from __future__ import annotations
@@ -36,8 +38,8 @@ from .rng import derive_rng
 
 WORKERS_ENV = "PRGD_MC_WORKERS"
 
-_CHUNK = 1 << 18
-_MAX_SAMPLES = 10**9  # keeps the chunk plan under 4000 entries
+_CHUNK_ENTRIES = 1 << 16  # normals per chunk: 512 KB per float array at d ≤ 2¹⁶
+_MAX_SAMPLES = 10**9  # bounds the runtime, not memory: 3.2·10⁵ chunks at d = 21
 _MAX_WORKERS = 64  # the pool may start one thread per worker
 _SURFACE_DISTANCE_TOL = 1e-9  # "distance exactly the radius" at double precision
 
@@ -74,29 +76,35 @@ def _worker_count() -> int:
     return count
 
 
-def _chunk_sizes(samples: int) -> list[int]:
-    sizes = [_CHUNK] * (samples // _CHUNK)
-    if samples % _CHUNK:
-        sizes.append(samples % _CHUNK)
-    return sizes
+def _chunk_plan(samples: int, d: int) -> tuple[int, int]:
+    """Rows per chunk and chunk count; the last chunk takes the remainder."""
+    rows = max(1, _CHUNK_ENTRIES // d)
+    return rows, -(-samples // rows)
 
 
-def _sum_over_chunks(count_chunk: Callable[[int, int], int], samples: int) -> int:
+def _sum_over_chunks(count_chunk: Callable[[int, int], int], samples: int, d: int) -> int:
     """Apply count_chunk(stream_index, chunk_size) to every chunk and sum.
 
-    The chunk plan depends only on ``samples`` and each chunk derives its
-    own stream, so the total is identical for any worker count. Both the
-    sample count and the worker count are bounded before any chunk or thread
-    exists.
+    The chunk plan depends only on ``samples`` and ``d`` and each chunk
+    derives its own stream, so the total is identical for any worker count.
+    At w workers, task j counts chunks j, j + w, …, so there are at most w
+    tasks however many chunks there are. Both the sample count and the
+    worker count are bounded before any plan or thread exists.
     """
     if samples > _MAX_SAMPLES:
         raise ValueError(f"samples must be at most {_MAX_SAMPLES}, got {samples}")
     workers = _worker_count()
-    sizes = _chunk_sizes(samples)
+    rows, chunks = _chunk_plan(samples, d)
+
+    def count_from(first: int) -> int:
+        return sum(
+            count_chunk(k, min(rows, samples - k * rows)) for k in range(first, chunks, workers)
+        )
+
     if workers == 1:
-        return sum(count_chunk(k, m) for k, m in enumerate(sizes))
+        return count_from(0)
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return sum(pool.map(count_chunk, range(len(sizes)), sizes))
+        return sum(pool.map(count_from, range(min(workers, chunks))))
 
 
 def mc_tv_distance(
@@ -115,7 +123,7 @@ def mc_tv_distance(
     """
     if samples < 1:
         raise ValueError(f"samples must be positive, got {samples}")
-    if delta_x < 0.0:
+    if not delta_x >= 0.0:  # false for nan; inf is allowed and gives exactly 1
         raise ValueError(f"delta_x must be nonnegative, got {delta_x}")
     spec = BallSpec(d, radius)
     r_sq = radius * radius
@@ -125,7 +133,7 @@ def mc_tv_distance(
         pts[:, 0] -= delta_x
         return int(np.count_nonzero(_squared_row_norms(pts) <= r_sq))
 
-    inside_both = _sum_over_chunks(count_chunk, samples)
+    inside_both = _sum_over_chunks(count_chunk, samples, d)
     return _proportion(samples - inside_both, samples, seed)
 
 
@@ -237,5 +245,5 @@ def surface_noise_distinguisher(
         assigned = np.where(ok0 ^ ok1, ok1, guesses)
         return int(np.count_nonzero(assigned == labels))
 
-    correct = _sum_over_chunks(count_chunk, samples)
+    correct = _sum_over_chunks(count_chunk, samples, d)
     return _proportion(correct, samples, seed)

@@ -539,7 +539,7 @@ class TestValidateCommand:
         def refuse(*args, **kwargs):
             raise AssertionError("a chunk plan or a pool was built")
 
-        monkeypatch.setattr(validation, "_chunk_sizes", refuse)
+        monkeypatch.setattr(validation, "_chunk_plan", refuse)
         monkeypatch.setattr(validation, "ThreadPoolExecutor", refuse)
         if workers is not None:
             monkeypatch.setenv(validation.WORKERS_ENV, workers)

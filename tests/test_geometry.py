@@ -37,8 +37,8 @@ class TestBallSpec:
                 BallSpec(d)
 
     def test_rejects_bad_radius(self):
-        for r in (0.0, -2.0):
-            with pytest.raises(ValueError):
+        for r in (0.0, -2.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match=str(r)):
                 BallSpec(3, r)
 
 

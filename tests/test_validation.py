@@ -2,6 +2,10 @@
 finite-difference gradient checking, and the distance-matching attack."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +23,15 @@ from prgd.validation import (
 )
 
 
+def oracles(d, samples):
+    """Both oracles, and the surface attack with either noise, at seed 5."""
+    return (
+        lambda: mc_tv_distance(d, 1.0, 1.0, samples, 5),
+        lambda: surface_noise_distinguisher(d, 1.0, samples, 5, "surface"),
+        lambda: surface_noise_distinguisher(d, 1.0, samples, 5, "ball"),
+    )
+
+
 class TestMCEstimate:
     def test_binomial_standard_error_invariant(self):
         est = mc_tv_distance(2, 1.0, 1.0, 50_000, 3)
@@ -34,7 +47,7 @@ class TestMcTvDistance:
         assert est.value == 0.0
 
     def test_disjoint_balls_give_exact_one(self):
-        for dx in (2.0, 3.5):
+        for dx in (2.0, 3.5, math.inf):
             assert mc_tv_distance(2, dx, 1.0, 100_000, 2).value == 1.0
         assert mc_tv_distance(2, 1.0, 0.5, 100_000, 2).value == 1.0
 
@@ -57,17 +70,17 @@ class TestMcTvDistance:
 
     def test_worker_count_does_not_change_result(self, monkeypatch):
         """Both oracles, and the surface attack with either noise, give the
-        same estimate at 1 and 3 workers."""
-        estimates = (
-            lambda: mc_tv_distance(3, 1.0, 1.0, 600_000, 5),
-            lambda: surface_noise_distinguisher(3, 1.0, 600_000, 5, "surface"),
-            lambda: surface_noise_distinguisher(3, 1.0, 600_000, 5, "ball"),
-        )
-        for estimate in estimates:
+        same estimate at 1, 2, 3 and 7 workers. At d = 21 the plan is 11
+        chunks of 3120 rows, a count that none of those divides."""
+        rows = validation._CHUNK_ENTRIES // 21
+        samples = 10 * rows + 17
+        assert validation._chunk_plan(samples, 21) == (rows, 11)
+        for estimate in oracles(21, samples):
             monkeypatch.delenv(WORKERS_ENV, raising=False)
             baseline = estimate()
-            monkeypatch.setenv(WORKERS_ENV, "3")
-            assert estimate() == baseline
+            for workers in ("2", "3", "7"):
+                monkeypatch.setenv(WORKERS_ENV, workers)
+                assert estimate() == baseline, workers
 
     def test_rejects_bad_worker_env(self, monkeypatch):
         """Out of range or not an integer: the message names the variable."""
@@ -82,6 +95,13 @@ class TestMcTvDistance:
         with pytest.raises(ValueError):
             mc_tv_distance(2, 1.0, 1.0, 0, 0)
 
+    def test_rejects_nan_distance_and_infinite_radius(self):
+        """An infinite distance is allowed (see the disjoint-balls test)."""
+        with pytest.raises(ValueError, match="delta_x"):
+            mc_tv_distance(2, math.nan, 1.0, 1000, 0)
+        with pytest.raises(ValueError, match="radius .* got inf"):
+            mc_tv_distance(2, 1.0, math.inf, 1000, 0)
+
 
 class TestBoundedInputs:
     """More than 10⁹ samples or 64 workers is rejected before any chunk
@@ -95,9 +115,9 @@ class TestBoundedInputs:
         five-row chunk and a pool maps in this thread."""
         log = []
 
-        def chunk_sizes(samples):
+        def chunk_plan(samples, d):
             log.append(("plan", samples))
-            return [5]
+            return 5, 1
 
         class Pool:
             def __init__(self, max_workers):
@@ -112,7 +132,7 @@ class TestBoundedInputs:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(validation, "_chunk_sizes", chunk_sizes)
+        monkeypatch.setattr(validation, "_chunk_plan", chunk_plan)
         monkeypatch.setattr(validation, "ThreadPoolExecutor", Pool)
         return log
 
@@ -133,6 +153,78 @@ class TestBoundedInputs:
         monkeypatch.setenv(WORKERS_ENV, "64")
         mc_tv_distance(2, 1.0, 1.0, 1000, 0)
         assert built == [("plan", 1000), ("pool", 64)]
+
+
+class TestChunkPlan:
+    """Chunks hold ⌊2¹⁶/d⌋ rows (at least one), so no sampler call draws more
+    than max(2¹⁶, d) normals, and at w workers the chunks go to at most w
+    tasks."""
+
+    @pytest.mark.parametrize("d, samples", [(1, 200_000), (21, 10_000), (70_000, 3)])
+    def test_sampler_calls_are_bounded(self, monkeypatch, d, samples):
+        rows = []
+
+        def spy(sampler):
+            def sample(spec, rng, size):
+                rows.append(size)
+                assert size * spec.d <= max(validation._CHUNK_ENTRIES, spec.d)
+                return sampler(spec, rng, size)
+
+            return sample
+
+        monkeypatch.setattr(validation, "sample_ball", spy(validation.sample_ball))
+        monkeypatch.setattr(validation, "sample_sphere_surface", spy(validation.sample_sphere_surface))
+        for estimate in oracles(d, samples):
+            rows.clear()
+            estimate()
+            assert sum(rows) == samples and len(rows) > 1
+
+    @pytest.mark.parametrize("workers, samples, tasks", [("64", 3121, 2), ("3", 34_000, 3), ("2", 1, 1)])
+    def test_one_task_per_worker_at_most(self, monkeypatch, workers, samples, tasks):
+        seen = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                calls = list(zip(*iterables))
+                seen.append(len(calls))
+                return (fn(*args) for args in calls)
+
+        monkeypatch.setattr(validation, "ThreadPoolExecutor", Pool)
+        monkeypatch.setenv(WORKERS_ENV, workers)
+        estimate = mc_tv_distance(21, 1.0, 1.0, samples, 5)
+        assert seen == [tasks]
+        monkeypatch.delenv(WORKERS_ENV)
+        assert mc_tv_distance(21, 1.0, 1.0, samples, 5) == estimate
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from procfs")
+    def test_wide_balls_stay_small(self):
+        """At d = 10⁵ each chunk is one row, so 1000 samples peak below
+        100 MB, interpreter and numpy included. The child reads its own
+        high-water mark; ru_maxrss would inherit the test runner's."""
+        script = (
+            "from prgd.validation import mc_tv_distance; "
+            "mc_tv_distance(10**5, 0.05, 1.0, 1000, 0); "
+            "print(next(line.split()[1] for line in open('/proc/self/status') if line.startswith('VmHWM:')))"
+        )
+        src = str(Path(validation.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert int(proc.stdout) < 100 * 1024  # VmHWM is in kB
 
 
 class TestClosedFormOverlapCheck:
