@@ -29,6 +29,7 @@ class BallSpec:
     def __post_init__(self) -> None:
         if not (self.d >= 1 and self.d % 1 == 0):  # false for inf and nan
             raise ValueError(f"dimension must be a positive integer, got {self.d}")
+        object.__setattr__(self, "d", int(self.d))  # 3.0 draws as 3 does
         if not 0.0 < self.radius < math.inf:  # false for nan
             raise ValueError(f"radius must be positive and finite, got {self.radius}")
 

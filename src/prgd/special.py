@@ -11,11 +11,14 @@ S_k = γ(2k + ½, u)·eᵘ/u^{2k+½}, and the complement the same over erfc and 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 
-_STIRLING_MIN = 8.0  # _log_beta takes Stirling's series once the larger shape reaches this
+_STIRLING_MIN = 8.0  # half_shape_front lifts b to at least this before Stirling's series
 _SUM_MAX_B = 12.5  # finite sums up to d = 24, the expansion above
+_SUM_MAX_P = 1.0 - 1e-12  # past this, the sum's rounding could pass 1 or step down in s
 _U_MID = 0.25  # δ ≈ erf(√u) passes ½ near u = 0.23
 _W_MAX = 2.0  # |c_17|·_W_MAX³⁴ < 3e-18
+_DEPTH_W0 = (6.8e-7, 1.6e-5, 5.2e-4)  # the small-u sum stops at k = 1, 2, 3 below these w0, else 4
 _SQRT_PI = math.sqrt(math.pi)
 _C = (  # c_1 … c_17, the w^{2k} coefficients of (sinh(w/2)/(w/2))^{−½}
     -0.020833333333333332, 0.000390625, -7.879670965608466e-06, 1.6967665791721782e-07,
@@ -27,18 +30,6 @@ _C = (  # c_1 … c_17, the w^{2k} coefficients of (sinh(w/2)/(w/2))^{−½}
 
 class ConvergenceError(ArithmeticError):
     """An iterative evaluation failed to reach the requested accuracy."""
-
-
-def _log_beta(a: float, b: float) -> float:
-    """log B(a, b) for positive shapes. Once the larger shape b reaches
-    _STIRLING_MIN, lgamma(b) and lgamma(a+b) come from Stirling's series
-    (x − ½)·log x − x + ½·log 2π + θ(x), so their huge leading terms cancel
-    analytically instead of in rounding (TOMS 708; DLMF §5.11)."""
-    a, b = min(a, b), max(a, b)
-    if b < _STIRLING_MIN:
-        return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
-    return (math.lgamma(a) + (a - (b - 0.5) * math.log1p(a / b)) - a * math.log(a + b)
-            + (_stirling_theta(b) - _stirling_theta(a + b)))
 
 
 def _stirling_theta(x: float) -> float:
@@ -60,34 +51,40 @@ def half_shape_front(b: float) -> float:
 
 
 def half_shape_beta(b: float, s: float, c: float, w0: float, upper: bool, front: float | None = None) -> float:
-    """I_{s²}(½, b), or with ``upper`` its complement I_c(b, ½), for 0 < s < 1,
-    c = 1 − s² and w0 = −log c; ``front`` is half_shape_front(b) if known."""
+    """I_{s²}(½, b), or with ``upper`` its complement I_c(b, ½), for b a multiple of ½
+    of at least 1, 0 < s < 1, c = 1 − s² and w0 = −log c; ``front`` is
+    half_shape_front(b) if known."""
     if b <= _SUM_MAX_B:
-        if (2.0 * b).is_integer():
-            p = _finite_sum(s, c, int(2.0 * b) - 1)
-            if not upper or p <= 0.5:
-                return 1.0 - p if upper else p
-        # past the cut by I_c(b, ½) = I_c(b + 1, ½) + c^b·s/(b·B(b, ½)), positive terms
+        p = _finite_sum(s, c, int(2.0 * b) - 1)
+        if p <= (0.5 if upper else _SUM_MAX_P):
+            return 1.0 - p if upper else p
+        # the complement, lifted past the cut by I_c(b, ½) = I_c(b + 1, ½) + c^b·s/(b·B(b, ½))
         n = math.floor(_SUM_MAX_B - b) + 1
-        lift, term = 0.0, s * math.exp(-b * w0 - _log_beta(0.5, b)) / b
+        lift, term = 0.0, s * math.exp(-b * w0) * half_shape_front(b) * math.sqrt(b - 0.25) / b
         for j in range(n):
             lift, term = lift + term, term * c * (b + j + 0.5) / (b + j + 1.0)
-        return half_shape_beta(b + n, s, c, w0, upper) + (lift if upper else -lift)
+        q = half_shape_beta(b + n, s, c, w0, True) + lift
+        return q if upper else 1.0 - q
+    front = half_shape_front(b) if front is None else front
     if w0 > _W_MAX:  # I_c(b, ½)·B(b, ½)/c^b = Σ (½)_n/n!·cⁿ/(b + n) (DLMF 8.17.7), c < 0.14
         total, term = 1.0 / b, 1.0
         for n in range(1, 21):  # c^20 < 4e-18
             term *= (n - 0.5) / n * c
             total += term / (b + n)
-        q = math.exp(-b * w0 - _log_beta(0.5, b)) * total
+        # q < e^{−b·w0}: where that factor is subnormal, q is below 2.3e-308 too
+        q = math.exp(-b * w0) * front * math.sqrt(b - 0.25) * total
         return q if upper else 1.0 - q
     u = (b - 0.25) * w0
     r, w2 = math.sqrt(u), w0 * w0
-    front = half_shape_front(b) if front is None else front
     if u < _U_MID:
-        # x = γ(a, u)·eᵘ/uᵃ, down from 0 at a = 14.5 by x(a) = (1 + u·x(a + 1))/a: each step
-        # cuts the start's error by u/a < 0.1, and c_k·w0^{2k} < 1e-20 at k ≥ 4 (w0 < 0.021)
+        # S_k = x(2k + ½) for x(a) = γ(a, u)·eᵘ/uᵃ = (1 + u·x(a + 1))/a, run down from x = 0 at
+        # level K + 1, K = 1 + (entries of _DEPTH_W0 at or below w0). As S_k ≤ eᵘ/(2k + ½) and
+        # √π·erf(√u) ≥ 2√u·e^{−u}, δ's relative error is below (w0²/2)·[Σ_{k>K} |c_k|·w0^{2k−2}·S_k
+        # (the dropped terms) + Σ_{k≤K} |c_k|·w0^{2k−2}·S_{K+1}·Π_{j=k..K} u²/((2j + 1.5)(2j + 0.5))
+        # (the zero start, shrunk by that factor per level)]. That grows with u; at u = ¼ it is below
+        # 1e-17 for w0 under each entry, and with K = 4 for every w0 < ¼/12.75, as b ≥ 13 here.
         x = total = 0.0
-        for k in range(6, 0, -1):
+        for k in range(bisect_right(_DEPTH_W0, w0) + 1, 0, -1):
             x = (1.0 + u * (1.0 + u * x) / (2 * k + 1.5)) / (2 * k + 0.5)
             total = total * w2 + _C[k - 1] * x
         p = front * (_SQRT_PI * math.erf(r) + r * math.exp(-u) * w2 * total)
@@ -117,9 +114,12 @@ def _finite_sum(s: float, c: float, d: int) -> float:
 
 
 def reg_inc_beta(z: float, a: float, b: float) -> float:
-    """Regularized incomplete beta I_z(a, b) for one shape ½; 0 at z = 0, 1 at z = 1."""
-    if not (a > 0.0 and b > 0.0 and 0.5 in (a, b)):
-        raise ValueError(f"shape parameters must be positive and one of them 1/2, got a={a}, b={b}")
+    """Regularized incomplete beta I_z(a, b) for one shape ½ and the other a multiple of ½
+    of at least 1, as b = (d + 1)/2 is for every dimension d; 0 at z = 0, 1 at z = 1."""
+    other = b if a == 0.5 else a if b == 0.5 else 0.0
+    if not (other >= 1.0 and (2.0 * other).is_integer()):  # false for nan
+        raise ValueError(f"shape parameters must be one of them 1/2 and the other a multiple of 1/2 "
+                         f"of at least 1, got a={a}, b={b}")
     if not 0.0 <= z <= 1.0:
         raise ValueError(f"z must lie in [0, 1], got {z}")
     if z == 0.0 or z == 1.0:

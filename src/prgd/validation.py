@@ -133,7 +133,7 @@ def mc_tv_distance(
         pts[:, 0] -= delta_x
         return int(np.count_nonzero(_squared_row_norms(pts) <= r_sq))
 
-    inside_both = _sum_over_chunks(count_chunk, samples, d)
+    inside_both = _sum_over_chunks(count_chunk, samples, spec.d)
     return _proportion(samples - inside_both, samples, seed)
 
 
@@ -245,5 +245,5 @@ def surface_noise_distinguisher(
         assigned = np.where(ok0 ^ ok1, ok1, guesses)
         return int(np.count_nonzero(assigned == labels))
 
-    correct = _sum_over_chunks(count_chunk, samples, d)
+    correct = _sum_over_chunks(count_chunk, samples, spec.d)
     return _proportion(correct, samples, seed)

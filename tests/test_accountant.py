@@ -484,34 +484,39 @@ class TestDeltaCurve:
 
 
 class TestArgumentsCheckedOnce:
-    """Each accounting question checks its arguments once: one PrivacySpec
-    per radius_for_target call and one per dimension of delta_curve, never
-    one per δ evaluated."""
+    """Each accounting question checks its arguments once: one dimension
+    check per radius_for_target call and one per dimension of delta_curve,
+    never one per δ evaluated, and no PrivacySpec built for it."""
 
     @pytest.fixture
-    def specs(self, monkeypatch):
-        built = []
+    def checks(self, monkeypatch):
+        made = []
 
-        def counting_spec(*args):
-            built.append(args)
-            return PrivacySpec(*args)
+        def counting_check(field, count):
+            made.append((field, count))
+            return check(field, count)
 
-        monkeypatch.setattr(accountant, "PrivacySpec", counting_spec)
-        return built
+        check = accountant._check_count
+        monkeypatch.setattr(accountant, "_check_count", counting_check)
+        return made
 
-    def test_one_spec_per_radius_solve(self, specs):
+    def test_one_spec_per_radius_solve(self, checks):
         radius_for_target(1000, 0.3, 1e-9)
-        assert len(specs) == 1
+        assert len(checks) == 1
 
-    def test_one_spec_per_curve_dimension(self, specs):
+    def test_one_spec_per_curve_dimension(self, checks):
         delta_curve([1, 7, 10**8], [0.0, 0.5, 1.0, 1.5])
-        assert len(specs) == 3
+        assert len(checks) == 3
 
     def test_the_one_check_still_rejects_a_bad_dimension(self):
         with pytest.raises(ValueError, match="dimension must be a positive integer, got 0"):
             radius_for_target(0, 1.0, 0.1)
         with pytest.raises(ValueError, match="dimension must be a positive integer, got -2"):
             delta_curve([3, -2], [0.5])
+        with pytest.raises(ValueError, match="^dimension is too large for a float$"):
+            radius_for_target(10**400, 1.0, 0.1)
+        with pytest.raises(ValueError, match="^dimension is too large for a float$"):
+            delta_curve([3, 10**400], [0.5])
 
 
 class TestDeltaReport:

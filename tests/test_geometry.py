@@ -24,7 +24,7 @@ from prgd.geometry import (
     sample_sphere_surface,
 )
 from prgd.rng import derive_rng
-from prgd.validation import closed_form_overlap_check
+from prgd.validation import closed_form_overlap_check, mc_tv_distance, surface_noise_distinguisher
 
 # chi-square critical value at the 0.1% level for 99 degrees of freedom
 CHI2_99_CRIT_999 = 148.23
@@ -40,6 +40,16 @@ class TestBallSpec:
         for r in (0.0, -2.0, math.inf, math.nan):
             with pytest.raises(ValueError, match=str(r)):
                 BallSpec(3, r)
+
+    def test_integral_float_dimension_draws_as_the_int(self):
+        """BallSpec(3.0) holds d = 3, so the samplers and the oracles that
+        build it give the int-3 call's draws and estimates."""
+        assert BallSpec(3.0).d == 3 and type(BallSpec(3.0).d) is int
+        for sampler in (sample_ball, sample_sphere_surface):
+            np.testing.assert_array_equal(sampler(BallSpec(3.0), derive_rng(5), 100),
+                                          sampler(BallSpec(3), derive_rng(5), 100))
+        assert mc_tv_distance(3.0, 1.0, 1.0, 1000, 0) == mc_tv_distance(3, 1.0, 1.0, 1000, 0)
+        assert surface_noise_distinguisher(3.0, 1.0, 1000, 0) == surface_noise_distinguisher(3, 1.0, 1000, 0)
 
 
 class TestBallVolume:

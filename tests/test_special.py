@@ -7,7 +7,6 @@ digits or more.
 """
 
 import math
-import sys
 from fractions import Fraction
 
 import numpy as np
@@ -17,11 +16,10 @@ from hypothesis import strategies as st
 
 from prgd.accountant import PrivacySpec, per_step_delta
 from prgd.special import (
-    _STIRLING_MIN,
+    _DEPTH_W0,
     _SUM_MAX_B,
     _U_MID,
     _W_MAX,
-    _log_beta,
     half_shape_front,
     reg_inc_beta,
     reg_inc_beta_derivative,
@@ -71,8 +69,8 @@ def one_minus(z: float):
 
 
 class TestLogGamma:
-    """math.lgamma, which _log_beta, reg_inc_beta and ball_volume call directly:
-    the exact-factorial oracles pin the accuracy those constants rely on."""
+    """math.lgamma, which ball_volume calls directly:
+    the exact-factorial oracles pin the accuracy it relies on."""
 
     def test_gamma_of_one_is_zero(self):
         assert math.lgamma(1.0) == 0.0
@@ -116,32 +114,6 @@ class TestLogGamma:
             reg_inc_beta(0.5, x, 1.0)
 
 
-class TestLogBeta:
-    @pytest.mark.parametrize("a", [0.5, 1.5, 7.0])
-    def test_against_mpmath(self, a):
-        """Within 1e-14 of log B(a, b) for b from 1 to 5·10⁷, or within two
-        ulps where |log B| is so large (a = 7, b ≳ 10⁴) that 1e-14 is under
-        one. lgamma(a) + lgamma(b) − lgamma(a + b) is off by 3e-14 at
-        a = 1/2, b = 50 and by 3e-8 at b = 5·10⁷."""
-        mpmath = pytest.importorskip("mpmath")
-        shapes = np.unique(np.concatenate([np.arange(1.0, 60.0, 0.5), np.geomspace(1.0, 5e7, 300)]))
-        for b in map(float, shapes):
-            with mpmath.workdps(40):
-                expected = mpmath.log(mpmath.beta(a, b))
-            bound = max(1e-14, 2.0 * sys.float_info.epsilon * abs(float(expected)))
-            assert abs(float(_log_beta(a, b) - expected)) <= bound, b
-
-    def test_three_lgamma_form_below_the_stirling_switch(self):
-        for a in (0.5, 1.5, 7.0):
-            for b in np.arange(1.0, _STIRLING_MIN, 0.25):
-                assert _log_beta(a, b) == math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
-
-    def test_symmetric(self):
-        rng = np.random.default_rng(9)
-        for a, b in 10.0 ** rng.uniform(-1.0, 8.0, (200, 2)):
-            assert _log_beta(a, b) == _log_beta(b, a)
-
-
 class TestRegIncBeta:
     def test_rejects_nonpositive_shapes(self):
         with pytest.raises(ValueError):
@@ -153,20 +125,23 @@ class TestRegIncBeta:
         with pytest.raises(ValueError):
             reg_inc_beta(0.5, 1.0, float("nan"))
 
-    @pytest.mark.parametrize("a,b", [(1.0, 1.0), (0.3, 7.0), (2.0, 0.49)])
+    @pytest.mark.parametrize("a,b", [(1.0, 1.0), (0.3, 7.0), (2.0, 0.49), (0.5, 0.5), (0.5, 0.75), (1.25, 0.5),
+                                     (0.5, 12.75), (1e8 + 0.25, 0.5), (0.5, math.inf)])
     def test_rejects_shapes_without_a_half(self, a, b):
+        """Shapes must be ½ and (d + 1)/2 for a dimension d >= 1."""
         with pytest.raises(ValueError, match="one of them 1/2") as caught:
             reg_inc_beta(0.3, a, b)
         assert "\n" not in str(caught.value)
 
     def test_arcsine_case(self):
-        """I_z(½, ½) = (2/π)·asin √z, the even-d sum with no terms."""
+        """I_z(½, 3/2) = (2/π)·(asin √z + √(z(1 − z))), the arcsine and the
+        one term of the even-d sum at d = 2."""
         for z in np.linspace(0.0, 1.0, 41):
-            expected = 2.0 / math.pi * math.asin(math.sqrt(z))
-            assert reg_inc_beta(float(z), 0.5, 0.5) == pytest.approx(expected, rel=1e-15, abs=1e-300)
+            expected = 2.0 / math.pi * (math.asin(math.sqrt(z)) + math.sqrt(z * (1.0 - z)))
+            assert reg_inc_beta(float(z), 0.5, 1.5) == pytest.approx(expected, rel=1e-15, abs=1e-300)
 
     def test_exact_boundaries(self):
-        for params in ((0.5, 2.0), (7.0, 0.5), (0.5, 0.3), (3e7, 0.5)):
+        for params in ((0.5, 2.0), (7.0, 0.5), (0.5, 1.0), (3e7, 0.5)):
             assert reg_inc_beta(0.0, *params) == 0.0
             assert reg_inc_beta(1.0, *params) == 1.0
 
@@ -187,12 +162,13 @@ class TestRegIncBeta:
             assert reg_inc_beta(1.0 - z, float(n), 0.5) == pytest.approx(1.0 - expected, abs=1e-14)
 
     def test_symmetry_identity(self):
-        """|I_z(½, b) − (1 − I_{1−z}(b, ½))| ≤ 1e-14 over 1000 random pairs;
-        1 − z is rounded here, which moves I by up to its slope times 1.1e-16."""
+        """|I_z(½, b) − (1 − I_{1−z}(b, ½))| ≤ 1e-14 over 1000 random pairs,
+        b = 1, 1.5, …, 20; 1 − z is rounded here, which moves I by up to its
+        slope times 1.1e-16."""
         rng = np.random.default_rng(12)
         worst = 0.0
         for _ in range(1000):
-            b = float(rng.uniform(0.1, 20.0))
+            b = float(rng.integers(2, 41)) / 2.0
             z = float(rng.uniform(0.001, 0.999))
             lhs = reg_inc_beta(z, 0.5, b)
             rhs = 1.0 - reg_inc_beta(1.0 - z, b, 0.5)
@@ -200,9 +176,9 @@ class TestRegIncBeta:
         assert worst <= 1e-14
 
     @settings(max_examples=500, deadline=None)
-    @given(z=st.floats(0.0, 1.0), log_b=st.floats(-2.0, 8.0))
+    @given(z=st.floats(0.0, 1.0), log_b=st.floats(0.0, 8.0))
     def test_property_reflection_identity(self, z, log_b):
-        """I_z(½, b) = 1 − I_{1−z}(b, ½) to 1e-15 for b from 0.01 to 10⁸.
+        """I_z(½, b) = 1 − I_{1−z}(b, ½) to 1e-15 for multiples b of ½ from 1 to 10⁸.
 
         Below _SUM_MAX_B the two sides take the finite sum and the lifted
         complement, so there the identity checks accuracy.
@@ -210,7 +186,7 @@ class TestRegIncBeta:
         # 1 − (1 − z) has an exact complement, so the identity is tested
         # rather than the rounding of 1 − z
         z = 1.0 - (1.0 - z)
-        b = 10.0**log_b
+        b = round(2.0 * 10.0**log_b) / 2.0
         assert reg_inc_beta(z, 0.5, b) == pytest.approx(1.0 - reg_inc_beta(1.0 - z, b, 0.5), abs=1e-15)
 
     @pytest.mark.parametrize("d", [24, 25, 9803, 10**6, 48_148_663, 10**8])
@@ -253,10 +229,11 @@ class TestRegIncBeta:
 
     def test_monotone_in_z(self):
         """Both I_z(½, b) and I_z(b, ½) are nondecreasing over a 101-point grid,
-        for b from 0.2 to 10⁸ across every route of the evaluation."""
+        for multiples b of ½ from 1 to 10⁸ across every route of the evaluation."""
         rng = np.random.default_rng(4)
         for b in [*rng.uniform(0.2, 15.0, 20), *(10.0 ** rng.uniform(1.0, 8.0, 20))]:
-            for shapes in ((0.5, float(b)), (float(b), 0.5)):
+            b = max(1.0, round(2.0 * b) / 2.0)
+            for shapes in ((0.5, b), (b, 0.5)):
                 values = [reg_inc_beta(float(z), *shapes) for z in np.linspace(0.0, 1.0, 101)]
                 assert all(v2 >= v1 for v1, v2 in zip(values, values[1:]))
 
@@ -266,17 +243,16 @@ class TestRegIncBeta:
             reg_inc_beta(z, 0.5, 1.0)
 
     def test_general_half_shape_against_mpmath(self):
-        """b that are not multiples of ½ take the lift below _SUM_MAX_B: δ past
-        its median and the complement stay within 1e-14 of mpmath, δ below its
-        median within 1e-12 (the lift subtracts there)."""
+        """At b = 1, 1.5, …, _SUM_MAX_B δ is a finite sum, and a complement
+        past ½ takes the lift: both stay within 1e-14 of mpmath."""
         mpmath = pytest.importorskip("mpmath")
         rng = np.random.default_rng(15)
         for _ in range(60):
-            b = float(10.0 ** rng.uniform(-2.0, math.log10(_SUM_MAX_B)))
+            b = float(rng.integers(2, 2 * _SUM_MAX_B + 1)) / 2.0
             x = float(rng.uniform(0.0, 1.0))
             p, _ = mpmath_pair(b, x)
             _, q = mpmath_pair(b, one_minus(1.0 - x))
-            assert reg_inc_beta(x, 0.5, b) == pytest.approx(float(p), rel=1e-12 if p < 0.5 else 1e-14, abs=0.0)
+            assert reg_inc_beta(x, 0.5, b) == pytest.approx(float(p), rel=1e-14, abs=0.0)
             assert reg_inc_beta(1.0 - x, b, 0.5) == pytest.approx(float(q), rel=1e-14, abs=0.0)
 
 
@@ -332,6 +308,52 @@ class TestStudentTAgainstMpmath:
             with mpmath.workdps(40):
                 expected = 1 / (mpmath.beta(0.5, float(b)) * mpmath.sqrt(mpmath.mpf(float(b)) - 0.25))
             assert half_shape_front(float(b)) == pytest.approx(float(expected), rel=1e-15, abs=0.0)
+
+
+def _small_u_points():
+    """(d, z) with u = (b − ¼)·w₀ < ¼, w₀ = −log(1 − z), d from 25 to 10⁸:
+    just below and just above every entry of _DEPTH_W0 at six dimensions
+    up to the largest that keeps u < ¼ there, then 200 random points."""
+    points = []
+    for w in _DEPTH_W0:
+        d_max = int(2.0 * (0.25 / (w * (1.0 + 1e-6)) + 0.25) - 1.0) - 1
+        for d in np.unique(np.geomspace(25, d_max, 6).astype(int)):
+            for side in (1.0 - 1e-6, 1.0 + 1e-6):
+                z = -math.expm1(-w * side)
+                assert (-math.log1p(-z) < w) == (side < 1.0)
+                points.append((int(d), z))
+    rng = np.random.default_rng(24)
+    for _ in range(200):
+        d = int(round(10.0 ** rng.uniform(math.log10(25), 8.0)))
+        points.append((d, -math.expm1(-rng.uniform(0.0, 0.25) / (0.5 * d + 0.25))))
+    return points
+
+
+class TestSmallUDepth:
+    """Below u = ¼, δ's sum over k stops at the level its bound picks from w₀."""
+
+    def test_against_mpmath_on_both_sides_of_every_depth(self):
+        """δ within 2e-15 relative of 40-digit mpmath at the same double z."""
+        mpmath = pytest.importorskip("mpmath")
+        for d, z in _small_u_points():
+            b = 0.5 * (d + 1)
+            assert (b - 0.25) * -math.log1p(-z) < _U_MID
+            p, _ = mpmath_pair(b, z)
+            assert reg_inc_beta(z, 0.5, b) == pytest.approx(float(p), rel=2e-15, abs=0.0), (d, z)
+
+
+class TestNearOne:
+    """At d ≤ 24 δ is a finite sum until 1 − δ falls to 1e-12; past that it
+    is one minus the lifted complement, so it never passes 1."""
+
+    @pytest.mark.parametrize("d", range(2, 25))
+    def test_never_above_one_and_nondecreasing(self, d):
+        b = 0.5 * (d + 1)
+        values = [per_step_delta(PrivacySpec(d, 2.0 * float(s), 1, 1))
+                  for s in 1.0 - np.geomspace(0.3, 1e-15, 400)]
+        assert max(values) <= 1.0
+        assert all(v2 >= v1 for v1, v2 in zip(values, values[1:])), d
+        assert reg_inc_beta(1.0 - 1e-20, 0.5, b) <= 1.0
 
 
 class TestSeriesDeltaOddD:
