@@ -104,13 +104,19 @@ def half_shape_beta(b: float, s: float, c: float, w0: float, upper: bool, front:
 
 def _finite_sum(s: float, c: float, d: int) -> float:
     """I_{s²}(½, (d+1)/2), c = 1 − s², integer d >= 0: s·Σ_{k<(d+1)/2} (½)_k/k!·c^k at odd d,
-    (2/π)·[asin s + s·√c·Σ_{k<d/2} (2·4⋯2k)/(3·5⋯(2k+1))·c^k] at even d (A&S 26.7.3–4)."""
+    (2/π)·[asin s + s·√c·Σ_{k<d/2} (2·4⋯2k)/(3·5⋯(2k+1))·c^k] at even d (A&S 26.7.3–4).
+    asin s is taken as atan2(s, √c): near s = 1 asin magnifies a rounding of s by 1/√c, and
+    the sum's √c term a rounding of c, while with atan2 the two first-order errors cancel,
+    so the sum stays accurate whether s (as δ's argument) or c (as 1 − z) is the exact one."""
     odd = d % 2
     total, term = 0.0, 1.0
     for k in range(1, (d + odd) // 2 + 1):
         total += term
         term *= (k - 0.5) / k * c if odd else k / (k + 0.5) * c
-    return s * total if odd else 2.0 * (math.asin(s) + s * math.sqrt(c) * total) / math.pi
+    if odd:
+        return s * total
+    r = math.sqrt(c)
+    return 2.0 * (math.atan2(s, r) + s * r * total) / math.pi
 
 
 def reg_inc_beta(z: float, a: float, b: float) -> float:
