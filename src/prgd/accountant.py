@@ -13,20 +13,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .special import ConvergenceError, half_shape_beta, half_shape_front
+from .special import ConvergenceError, _check_count, half_shape_beta, half_shape_front
 
 _RADIUS_TOL = 1e-13  # a solved radius gives δ within this below the target
 _TINY_S = 1e-100  # below this s² underflows, and δ takes its first-order form
-
-
-def _check_count(field: str, count) -> None:
-    """Raise ValueError unless ``count`` is a positive integer that a float can hold."""
-    if not (count >= 1 and count % 1 == 0):  # false for inf and nan
-        raise ValueError(f"{field} must be a positive integer, got {count}")
-    try:
-        float(count)  # δ and its composition are computed in floats
-    except OverflowError:
-        raise ValueError(f"{field} is too large for a float") from None
 
 
 @dataclass(frozen=True)
@@ -48,8 +38,8 @@ class PrivacySpec:
     noise_radius: float = 1.0
 
     def __post_init__(self) -> None:
-        for field, count in (("dimension", self.d), ("dataset_size", self.dataset_size), ("steps", self.steps)):
-            _check_count(field, count)
+        for name, field in (("d", "dimension"), ("dataset_size", "dataset_size"), ("steps", "steps")):
+            object.__setattr__(self, name, _check_count(field, getattr(self, name)))
         if not self.delta_x >= 0.0:
             raise ValueError(f"delta_x must be nonnegative, got {self.delta_x}")
         if not self.noise_radius >= 0.0:
@@ -158,7 +148,7 @@ def radius_for_target(d: int, delta_x: float, target_per_step_delta: float) -> f
         raise ValueError(f"target per-step delta must lie in (0, 1), got {t}")
     if not delta_x > 0.0:
         raise ValueError(f"delta_x must be positive, got {delta_x}")
-    _check_count("dimension", d)  # every radius below is positive
+    d = _check_count("dimension", d)  # every radius below is positive
     b = 0.5 * (d + 1)
     front = half_shape_front(b)
     inv_beta = front * math.sqrt(b - 0.25)  # 1/B(1/2, b)
@@ -204,8 +194,7 @@ def delta_curve(
             raise ValueError(f"grid value {dx} outside [0, {2.0 * radius}] for radius {radius}")
     rows = []
     for d in dims:
-        _check_count("dimension", d)  # the grid, and with it the radius, is checked above
-        d = int(d)
+        d = _check_count("dimension", d)  # the grid, and with it the radius, is checked above
         front = half_shape_front(0.5 * (d + 1)) if d > 1 else None  # δ = s at d = 1
         rows.extend((d, dx, _delta(d, dx, radius, front)) for dx in grid)
     return rows

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special import reg_inc_beta
+from .special import _check_count, reg_inc_beta
 
 # The row norm and the scaling round, so the radial factor is backed off by
 # 1e-14 to keep every draw inside the ball. Against a norm from an exact sum,
@@ -27,9 +27,7 @@ class BallSpec:
     radius: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (self.d >= 1 and self.d % 1 == 0):  # false for inf and nan
-            raise ValueError(f"dimension must be a positive integer, got {self.d}")
-        object.__setattr__(self, "d", int(self.d))  # 3.0 draws as 3 does
+        object.__setattr__(self, "d", _check_count("dimension", self.d))  # 3.0 draws as 3 does
         if not 0.0 < self.radius < math.inf:  # false for nan
             raise ValueError(f"radius must be positive and finite, got {self.radius}")
 
@@ -69,7 +67,7 @@ def overlap_volume(spec: BallSpec, delta_x: float) -> float:
     The lens is two equal caps with base plane midway between the centres;
     balls further apart than 2·radius do not intersect.
     """
-    if delta_x < 0.0:
+    if not delta_x >= 0.0:  # false for nan
         raise ValueError(f"centre distance must be nonnegative, got {delta_x}")
     if delta_x >= 2.0 * spec.radius:
         return 0.0

@@ -23,6 +23,7 @@ import numpy as np
 from .accountant import DeltaReport, PrivacySpec, overall_delta
 from .geometry import BallSpec, _row_norms, sample_ball
 from .rng import derive_rng
+from .special import _check_count
 
 _SLACK = 1e-12  # relative slack on the pruning bounds of the sensitivity scan
 _BLOCK_ENTRIES = 1 << 20  # distances per row block of the scan (8 MB)
@@ -53,7 +54,7 @@ class Dataset:
             raise ValueError(
                 f"labels must be 1-D with one entry per record, got shape {labels.shape}"
             )
-        if features.shape[0] < 1:
+        if features.shape[0] == 0:
             raise ValueError("a dataset needs at least one record")
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "labels", labels)
@@ -109,14 +110,12 @@ class RunConfig:
     def __post_init__(self) -> None:
         if not self.step_size > 0.0:
             raise ValueError(f"step_size must be positive, got {self.step_size}")
-        if not (self.steps >= 1 and self.steps % 1 == 0):  # false for inf and nan
-            raise ValueError(f"steps must be a positive integer, got {self.steps}")
+        object.__setattr__(self, "steps", _check_count("steps", self.steps))
         if not self.noise_radius >= 0.0:
             raise ValueError(f"noise_radius must be nonnegative, got {self.noise_radius}")
         if self.clip_norm is not None and not self.clip_norm > 0.0:
             raise ValueError(f"clip_norm must be positive when set, got {self.clip_norm}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        object.__setattr__(self, "seed", _check_count("seed", self.seed, 0))
 
 
 @dataclass(frozen=True)
@@ -372,8 +371,7 @@ def least_squares(feature_dim: int) -> LossModel:
     Convex: the mean Hessian (2/N)·Σxᵢxᵢᵀ is positive semidefinite
     everywhere, so this is the no-saddle sanity benchmark.
     """
-    if feature_dim < 1:
-        raise ValueError(f"feature_dim must be positive, got {feature_dim}")
+    feature_dim = _check_count("feature_dim", feature_dim)
 
     def value(w, features, labels):
         r = labels - _inner(w, features)[..., 0]
@@ -382,7 +380,7 @@ def least_squares(feature_dim: int) -> LossModel:
     def gradient(w, features, labels):
         return -2.0 * (labels[:, np.newaxis] - _inner(w, features)) * features
 
-    return LossModel("least_squares", int(feature_dim), value, gradient)
+    return LossModel("least_squares", feature_dim, value, gradient)
 
 
 def scalar_factorization(feature_dim: int = 1) -> LossModel:
@@ -414,8 +412,7 @@ def rank1_factorization(feature_dim: int) -> LossModel:
     4(‖w‖²w − y(xᵀw)x). The origin is stationary for every record and a
     strict saddle of the mean loss when Σyᵢxᵢxᵢᵀ has a positive eigenvalue.
     """
-    if feature_dim < 1:
-        raise ValueError(f"feature_dim must be positive, got {feature_dim}")
+    feature_dim = _check_count("feature_dim", feature_dim)
 
     def value(w, features, labels):
         xw = _inner(w, features)[..., 0]
@@ -429,7 +426,7 @@ def rank1_factorization(feature_dim: int) -> LossModel:
         ww = np.vecdot(w, w)[..., np.newaxis, np.newaxis]
         return 4.0 * (ww * w[..., np.newaxis, :] - labels[:, np.newaxis] * xw * features)
 
-    return LossModel("rank1_factorization", int(feature_dim), value, gradient)
+    return LossModel("rank1_factorization", feature_dim, value, gradient)
 
 
 def builtin_losses() -> dict[str, Callable[[int], LossModel]]:
@@ -448,11 +445,8 @@ def builtin_losses() -> dict[str, Callable[[int], LossModel]]:
 
 def synthesize_dataset(n: int, feature_dim: int, label_noise: float, seed: int) -> Dataset:
     """Gaussian features with linear labels y = Σₖ xₖ + label_noise·ε."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    if feature_dim < 1:
-        raise ValueError(f"feature_dim must be positive, got {feature_dim}")
-    if label_noise < 0.0:
+    n, feature_dim = _check_count("n", n), _check_count("feature_dim", feature_dim)
+    if not label_noise >= 0.0:  # false for nan
         raise ValueError(f"label_noise must be nonnegative, got {label_noise}")
     rng = derive_rng(seed)
     features = rng.standard_normal((n, feature_dim))

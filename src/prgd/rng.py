@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .special import _check_count
+
 
 def derive_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """Return stream ``stream`` of the family rooted at ``seed``.
@@ -13,8 +15,5 @@ def derive_rng(seed: int, stream: int = 0) -> np.random.Generator:
     be partitioned across workers and still reproduce the single-threaded
     result bit for bit.
     """
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
-    if stream < 0:
-        raise ValueError(f"stream index must be nonnegative, got {stream}")
-    return np.random.default_rng(np.random.SeedSequence([int(seed), int(stream)]))
+    entropy = [_check_count("seed", seed, 0), _check_count("stream index", stream, 0)]
+    return np.random.default_rng(np.random.SeedSequence(entropy))

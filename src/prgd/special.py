@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from fractions import Fraction
 
 _STIRLING_MIN = 8.0  # half_shape_front lifts b to at least this before Stirling's series
 _SUM_MAX_B = 12.5  # finite sums up to d = 24, the expansion above
@@ -29,7 +30,21 @@ _C = (  # c_1 … c_17, the w^{2k} coefficients of (sinh(w/2)/(w/2))^{−½}
 
 
 class ConvergenceError(ArithmeticError):
-    """An iterative evaluation failed to reach the requested accuracy."""
+    """radius_for_target found no finite noise radius that reaches the target δ."""
+
+
+def _check_count(field: str, value, least: int = 1) -> int:
+    """``value`` as an int if it is an integer of at least ``least`` (1 or 0) that a float
+    can hold, so 3.0 gives 3; anything else raises a one-line ValueError naming ``field``."""
+    try:
+        if value >= least and value % 1 == 0:  # false for inf and nan
+            float(value)  # every count meets float arithmetic: δ, the samplers, the chunk plan
+            return int(value)
+    except OverflowError:
+        raise ValueError(f"{field} is too large for a float") from None
+    except TypeError:  # not a number
+        pass
+    raise ValueError(f"{field} must be a {'positive' if least else 'nonnegative'} integer, got {value}")
 
 
 def _stirling_theta(x: float) -> float:
@@ -136,21 +151,26 @@ def reg_inc_beta(z: float, a: float, b: float) -> float:
 
 
 def series_delta_odd_d(delta_x: float, d: int) -> float:
-    """Distinguishing probability at odd d by the finite series
-    (Δx/2) · Σ_{k=0}^{(d-1)/2} (1/2)_k (1 - (Δx/2)²)^k / k!."""
-    if d < 1 or d % 2 == 0:
-        raise ValueError(f"d must be an odd positive integer, got {d}")
+    """δ at odd d <= 1001 by the series (Δx/2) · Σ_{k=0}^{(d-1)/2} (1/2)_k (1 - (Δx/2)²)^k / k!,
+    summed by Horner's rule in exact rationals from the binary Δx and rounded once: δ rounded
+    to nearest, sharing no arithmetic with reg_inc_beta."""
+    d = _check_count("d", d)
+    if d % 2 == 0 or d > 1001:  # bounds the run: the exact sum costs about d²
+        raise ValueError(f"d must be odd and at most 1001, got {d}")
     if not 0.0 <= delta_x <= 2.0:
         raise ValueError(f"delta_x must lie in [0, 2], got {delta_x}")
-    half = 0.5 * delta_x
-    return _finite_sum(half, 1.0 - half * half, d)
+    s = Fraction(delta_x) / 2
+    c = 1 - s * s
+    total = Fraction(1)
+    for k in range((d - 1) // 2, 0, -1):
+        total = 1 + total * c * (2 * k - 1) / (2 * k)
+    return float(s * total)
 
 
 def reg_inc_beta_derivative(z: float, d: int) -> float:
     """d/dz of I_z(1/2, (d+1)/2): (1-z)^{(d-1)/2} · z^{-1/2} / B(1/2, (d+1)/2),
     strictly positive on 0 < z < 1 (z = 0 is a singularity, z = 1 degenerate)."""
-    if d < 1:
-        raise ValueError(f"d must be a positive integer, got {d}")
+    d = _check_count("d", d)
     if not 0.0 < z < 1.0:
         raise ValueError(f"z must lie strictly inside (0, 1), got {z}")
     b = 0.5 * (d + 1)  # 1/B(1/2, b) as front·√(b − 1/4), within 5e-16

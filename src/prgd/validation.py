@@ -35,6 +35,7 @@ from .geometry import (
 )
 from .optimizer import LossModel
 from .rng import derive_rng
+from .special import _check_count
 
 WORKERS_ENV = "PRGD_MC_WORKERS"
 
@@ -121,8 +122,7 @@ def mc_tv_distance(
     Unbiased for the analytic per-step δ: coincident balls give exactly 0
     and disjoint balls exactly 1.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be positive, got {samples}")
+    samples = _check_count("samples", samples)
     if not delta_x >= 0.0:  # false for nan; inf is allowed and gives exactly 1
         raise ValueError(f"delta_x must be nonnegative, got {delta_x}")
     spec = BallSpec(d, radius)
@@ -220,8 +220,7 @@ def surface_noise_distinguisher(
     """
     if not 0.0 < delta_x < 2.0:
         raise ValueError(f"delta_x must lie in (0, 2), got {delta_x}")
-    if samples < 1:
-        raise ValueError(f"samples must be positive, got {samples}")
+    samples = _check_count("samples", samples)
     if noise not in ("surface", "ball"):
         raise ValueError(f"noise must be 'surface' or 'ball', got {noise!r}")
     spec = BallSpec(d, 1.0)

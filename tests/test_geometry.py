@@ -144,6 +144,10 @@ class TestOverlapVolume:
         with pytest.raises(ValueError):
             overlap_volume(BallSpec(2), -0.5)
 
+    def test_rejects_nan_distance_as_a_distance(self):
+        with pytest.raises(ValueError, match="^centre distance must be nonnegative, got nan$"):
+            overlap_volume(BallSpec(3), math.nan)
+
 
 class TestSampleBall:
     def test_shapes(self):

@@ -260,6 +260,13 @@ class TestRunConfig:
         RunConfig(step_size=0.1, steps=1, noise_radius=0.0)
 
 
+class TestSynthesizeDataset:
+    def test_rejects_nan_label_noise(self):
+        """nan > 0 is false, so a nan noise level once gave noiseless labels."""
+        with pytest.raises(ValueError, match="^label_noise must be nonnegative, got nan$"):
+            synthesize_dataset(3, 1, math.nan, 0)
+
+
 class TestPrgdRun:
     def setup_method(self):
         self.data = synthesize_dataset(15, 2, 0.2, 3)

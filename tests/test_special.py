@@ -395,6 +395,34 @@ class TestSeriesDeltaOddD:
                 series_delta_odd_d(dx, 3)
 
 
+class TestSeriesDeltaOddDExact:
+    """The odd-d oracle sums its series in exact rationals and rounds once,
+    so it shares no arithmetic with reg_inc_beta, which acceptance criterion 4
+    compares it with."""
+
+    def test_equals_60_digit_mpmath_rounded_to_nearest(self):
+        mpmath = pytest.importorskip("mpmath")
+        for d in range(1, 42, 2):
+            for dx in np.linspace(0.0, 2.0, 50):
+                with mpmath.workdps(60):
+                    z = (mpmath.mpf(float(dx)) / 2) ** 2
+                    expected = float(mpmath.betainc(0.5, 0.5 * (d + 1), 0, z, regularized=True))
+                assert series_delta_odd_d(float(dx), d) == pytest.approx(expected, rel=0.0, abs=0.0)
+
+    def test_never_exceeds_one_near_disjoint_balls(self):
+        """Near Δx = 2 the floating-point sum this replaced passed 1 at about
+        one point in eight; the exact sum, rounded to nearest, cannot."""
+        for d in range(1, 42, 2):
+            for dx in np.linspace(1.9, 2.0, 2001)[::10]:
+                assert series_delta_odd_d(float(dx), d) <= 1.0
+
+    def test_refuses_dimensions_past_1001(self):
+        assert 0.0 < series_delta_odd_d(0.01, 1001) < 1.0
+        for d in (1003, 10**400 + 1):
+            with pytest.raises(ValueError, match="^d "):
+                series_delta_odd_d(1.0, d)
+
+
 class TestRegIncBetaDerivative:
     def test_quarter_point_one_dimension(self):
         """z=1/4, d=1: z^{-1/2}/B(1/2, 1) = 2/2 = 1."""
