@@ -110,6 +110,7 @@ def sample_ball(spec: BallSpec, rng: np.random.Generator, size: int) -> np.ndarr
     sampling would be hopeless. Deterministic given the generator state; a
     single generator must not be shared across threads.
     """
+    size = _check_count("size", size, 0)
     v = rng.standard_normal((size, spec.d))
     radii = rng.random(size)
     radii **= 1.0 / spec.d
@@ -125,6 +126,7 @@ def sample_sphere_surface(spec: BallSpec, rng: np.random.Generator, size: int) -
 
     Every returned vector has norm within 2e-15 relative of the radius.
     """
+    size = _check_count("size", size, 0)
     v = rng.standard_normal((size, spec.d))
     v *= (spec.radius / _row_norms(v))[:, np.newaxis]
     return v

@@ -90,6 +90,9 @@ class LossModel:
     value: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     gradient: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "parameter_dim", _check_count("parameter_dim", self.parameter_dim))
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -200,6 +203,8 @@ def prgd_run(
     w = np.array(initial_w, dtype=float)
     if w.shape != (model.parameter_dim,):
         raise ValueError(f"initial_w has shape {w.shape}, expected ({model.parameter_dim},)")
+    if sensitivity is not None and not sensitivity >= 0.0:  # false for nan
+        raise ValueError(f"sensitivity must be nonnegative, got {sensitivity}")
     n = len(data)
     total = config.steps
     dim = model.parameter_dim

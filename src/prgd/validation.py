@@ -8,11 +8,11 @@ overlap volumes, finite differences check loss gradients, and the
 distance-matching attack demonstrates why surface-sampled noise offers no
 privacy while volume-sampled noise does.
 
-Monte Carlo loops are split into chunks of ⌊2¹⁶/d⌋ rows (at least one),
-so each chunk's sampler call draws at most max(2¹⁶, d) normals whatever the
-sample count, 512 KB of doubles up to d = 2¹⁶; chunk k draws from stream
-(seed, k). The PRGD_MC_WORKERS environment variable may fan the chunks out
-over threads without changing any result.
+Both Monte Carlo oracles go through one runner, which checks the sample
+count, the seed and the PRGD_MC_WORKERS worker count before any chunk plan
+or thread exists. Chunks hold ⌊2¹⁶/d⌋ rows (at least one), so each sampler
+call draws at most max(2¹⁶, d) normals, 512 KB of doubles up to d = 2¹⁶.
+Chunk k draws from stream (seed, k), so no worker count changes a result.
 """
 
 from __future__ import annotations
@@ -58,11 +58,6 @@ class MCEstimate:
     seed: int
 
 
-def _proportion(hits: int, samples: int, seed: int) -> MCEstimate:
-    p = hits / samples
-    return MCEstimate(p, math.sqrt(p * (1.0 - p) / samples), samples, seed)
-
-
 def _worker_count() -> int:
     raw = os.environ.get(WORKERS_ENV)
     if raw is None:
@@ -83,29 +78,36 @@ def _chunk_plan(samples: int, d: int) -> tuple[int, int]:
     return rows, -(-samples // rows)
 
 
-def _sum_over_chunks(count_chunk: Callable[[int, int], int], samples: int, d: int) -> int:
-    """Apply count_chunk(stream_index, chunk_size) to every chunk and sum.
+def _estimate(
+    count_chunk: Callable[[np.random.Generator, int], int], samples: int, seed: int, d: int
+) -> MCEstimate:
+    """The fraction of ``samples`` draws counted by count_chunk(derive_rng(seed, k), size)
+    over the chunks k of the plan for dimension ``d``.
 
-    The chunk plan depends only on ``samples`` and ``d`` and each chunk
-    derives its own stream, so the total is identical for any worker count.
-    At w workers, task j counts chunks j, j + w, …, so there are at most w
-    tasks however many chunks there are. Both the sample count and the
-    worker count are bounded before any plan or thread exists.
+    The plan depends only on ``samples`` and ``d``, so the estimate is the
+    same at any worker count. At w workers, task j counts chunks j, j + w, …,
+    so there are at most w tasks however many chunks there are.
     """
+    samples = _check_count("samples", samples)
     if samples > _MAX_SAMPLES:
         raise ValueError(f"samples must be at most {_MAX_SAMPLES}, got {samples}")
+    seed = _check_count("seed", seed, 0)
     workers = _worker_count()
     rows, chunks = _chunk_plan(samples, d)
 
     def count_from(first: int) -> int:
         return sum(
-            count_chunk(k, min(rows, samples - k * rows)) for k in range(first, chunks, workers)
+            count_chunk(derive_rng(seed, k), min(rows, samples - k * rows))
+            for k in range(first, chunks, workers)
         )
 
     if workers == 1:
-        return count_from(0)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return sum(pool.map(count_from, range(min(workers, chunks))))
+        hits = count_from(0)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            hits = sum(pool.map(count_from, range(min(workers, chunks))))
+    p = hits / samples
+    return MCEstimate(p, math.sqrt(p * (1.0 - p) / samples), samples, seed)
 
 
 def mc_tv_distance(
@@ -117,24 +119,22 @@ def mc_tv_distance(
 ) -> MCEstimate:
     """Total-variation distance between uniform balls centred delta_x apart.
 
-    Draws from the ball at the origin and counts the fraction q that also
-    lies inside the ball centred at delta_x·e₁; the estimate is 1 − q.
+    Draws from the ball at the origin and counts the fraction that lies
+    outside the ball centred at delta_x·e₁, which is 1 − (overlap fraction).
     Unbiased for the analytic per-step δ: coincident balls give exactly 0
     and disjoint balls exactly 1.
     """
-    samples = _check_count("samples", samples)
     if not delta_x >= 0.0:  # false for nan; inf is allowed and gives exactly 1
         raise ValueError(f"delta_x must be nonnegative, got {delta_x}")
     spec = BallSpec(d, radius)
     r_sq = radius * radius
 
-    def count_chunk(stream: int, size: int) -> int:
-        pts = sample_ball(spec, derive_rng(seed, stream), size)
+    def count_outside(rng: np.random.Generator, size: int) -> int:
+        pts = sample_ball(spec, rng, size)
         pts[:, 0] -= delta_x
-        return int(np.count_nonzero(_squared_row_norms(pts) <= r_sq))
+        return int(np.count_nonzero(_squared_row_norms(pts) > r_sq))
 
-    inside_both = _sum_over_chunks(count_chunk, samples, spec.d)
-    return _proportion(samples - inside_both, samples, seed)
+    return _estimate(count_outside, samples, seed, spec.d)
 
 
 def closed_form_overlap_check(
@@ -220,14 +220,12 @@ def surface_noise_distinguisher(
     """
     if not 0.0 < delta_x < 2.0:
         raise ValueError(f"delta_x must lie in (0, 2), got {delta_x}")
-    samples = _check_count("samples", samples)
     if noise not in ("surface", "ball"):
         raise ValueError(f"noise must be 'surface' or 'ball', got {noise!r}")
     spec = BallSpec(d, 1.0)
     sampler = sample_sphere_surface if noise == "surface" else sample_ball
 
-    def count_chunk(stream: int, size: int) -> int:
-        rng = derive_rng(seed, stream)
+    def count_correct(rng: np.random.Generator, size: int) -> int:
         labels = rng.integers(0, 2, size=size)
         pts = sampler(spec, rng, size)
         pts[:, 0] += labels * delta_x
@@ -244,5 +242,4 @@ def surface_noise_distinguisher(
         assigned = np.where(ok0 ^ ok1, ok1, guesses)
         return int(np.count_nonzero(assigned == labels))
 
-    correct = _sum_over_chunks(count_chunk, samples, spec.d)
-    return _proportion(correct, samples, seed)
+    return _estimate(count_correct, samples, seed, spec.d)

@@ -12,8 +12,9 @@ import math
 import pytest
 
 from prgd.accountant import PrivacySpec, delta_curve, overall_delta, radius_for_target
-from prgd.geometry import BallSpec, sample_ball
+from prgd.geometry import BallSpec, sample_ball, sample_sphere_surface
 from prgd.optimizer import (
+    LossModel,
     RunConfig,
     least_squares,
     prgd_run,
@@ -40,6 +41,9 @@ def dataset(n, feature_dim):
 SITES = [
     ("BallSpec", "dimension", 1, 3,
      lambda v: (BallSpec(v), sample_ball(BallSpec(v), derive_rng(0), 4).tolist())),
+    ("sample_ball", "size", 0, 2, lambda v: sample_ball(BallSpec(3), derive_rng(0), v).tolist()),
+    ("sample_sphere_surface", "size", 0, 2,
+     lambda v: sample_sphere_surface(BallSpec(3), derive_rng(0), v).tolist()),
     ("PrivacySpec.d", "dimension", 1, 3,
      lambda v: (PrivacySpec(v, 0.5, 10, 4), overall_delta(PrivacySpec(v, 0.5, 10, 4)))),
     ("PrivacySpec.dataset_size", "dataset_size", 1, 3,
@@ -52,6 +56,7 @@ SITES = [
     ("RunConfig.seed", "seed", 0, 3,
      lambda v: (RunConfig(0.1, 2, seed=v), run_with(RunConfig(0.1, 2, seed=v)))),
     ("least_squares", "feature_dim", 1, 3, lambda v: least_squares(v).parameter_dim),
+    ("LossModel", "parameter_dim", 1, 2, lambda v: LossModel("fit", v, abs, abs).parameter_dim),
     ("rank1_factorization", "feature_dim", 1, 3, lambda v: rank1_factorization(v).parameter_dim),
     ("synthesize_dataset.n", "n", 1, 3, lambda v: dataset(v, 2)),
     ("synthesize_dataset.feature_dim", "feature_dim", 1, 3, lambda v: dataset(5, v)),
@@ -60,6 +65,9 @@ SITES = [
     ("mc_tv_distance", "samples", 1, 1000, lambda v: mc_tv_distance(3, 0.5, samples=v)),
     ("surface_noise_distinguisher", "samples", 1, 1000,
      lambda v: surface_noise_distinguisher(2, 0.5, samples=v)),
+    ("mc_tv_distance.seed", "seed", 0, 3, lambda v: mc_tv_distance(3, 0.5, samples=1000, seed=v)),
+    ("surface_noise_distinguisher.seed", "seed", 0, 3,
+     lambda v: surface_noise_distinguisher(2, 0.5, samples=1000, seed=v, noise="ball")),
     ("derive_rng.seed", "seed", 0, 3, lambda v: derive_rng(v).random(3).tolist()),
     ("derive_rng.stream", "stream index", 0, 3, lambda v: derive_rng(0, v).random(3).tolist()),
 ]

@@ -513,6 +513,20 @@ class TestPrgdRun:
         with pytest.raises(ValueError):
             prgd_run(self.data, self.model, config, np.zeros(3))
 
+    @pytest.mark.parametrize("sensitivity", [-1.0, math.nan, -math.inf])
+    def test_rejects_a_bad_sensitivity_before_drawing(self, monkeypatch, sensitivity):
+        def refuse(*args):
+            raise AssertionError("a run with a bad sensitivity drew randomness")
+
+        config = RunConfig(step_size=0.1, steps=200_000)
+        monkeypatch.setattr(optimizer, "derive_rng", refuse)
+        monkeypatch.setattr(optimizer, "sample_ball", refuse)
+        with pytest.raises(ValueError, match=f"^sensitivity must be nonnegative, got {sensitivity}$"):
+            prgd_run(self.data, self.model, config, np.zeros(2), sensitivity=sensitivity)
+        monkeypatch.undo()
+        trace = prgd_run(self.data, self.model, RunConfig(0.1, 2), np.zeros(2), sensitivity=0.0)
+        assert (trace.sensitivity, trace.report.sensitivity_provenance) == (0.0, "given")
+
 
 class TestSerialization:
     def test_line_format(self):

@@ -40,6 +40,21 @@ class TestMCEstimate:
         assert est.samples == 50_000
         assert est.seed == 3
 
+    @pytest.mark.parametrize(
+        "estimate, samples, hits",
+        [
+            (lambda: mc_tv_distance(3, 0.5, 1.0, 1000, 3), 1000, 376),
+            (lambda: surface_noise_distinguisher(2, 0.5, 1000, 3, "ball"), 1000, 662),
+            (lambda: mc_tv_distance(21, 1.0, 1.0, 31217, 5), 31217, 30853),
+            (lambda: surface_noise_distinguisher(21, 1.0, 31217, 5, "ball"), 31217, 31010),
+        ],
+        ids=["tv", "ball", "tv-11-chunks", "ball-11-chunks"],
+    )
+    def test_the_streams_are_pinned(self, estimate, samples, hits):
+        """Exact counts: a change in chunk streams or draw order moves them.
+        At d = 21 the plan is 11 chunks of 3120 rows."""
+        assert estimate().value == hits / samples
+
 
 class TestMcTvDistance:
     def test_coincident_balls_give_exact_zero(self):
@@ -153,6 +168,22 @@ class TestBoundedInputs:
         monkeypatch.setenv(WORKERS_ENV, "64")
         mc_tv_distance(2, 1.0, 1.0, 1000, 0)
         assert built == [("plan", 1000), ("pool", 64)]
+
+    @pytest.mark.parametrize("workers", [None, "2"])
+    @pytest.mark.parametrize("seed", [1.5, -1, math.nan, 10**400], ids=["1.5", "-1", "nan", "past-float"])
+    def test_rejects_a_bad_seed(self, built, monkeypatch, workers, seed):
+        """Both oracles refuse the seed in one line, at 1 and 2 workers,
+        before building a plan or a pool."""
+        if workers is not None:
+            monkeypatch.setenv(WORKERS_ENV, workers)
+        for estimate in (
+            lambda: mc_tv_distance(2, 1.0, 1.0, 1000, seed),
+            lambda: surface_noise_distinguisher(2, 1.0, 1000, seed, "surface"),
+        ):
+            with pytest.raises(ValueError, match="^seed ") as caught:
+                estimate()
+            assert "\n" not in str(caught.value)
+        assert built == []
 
 
 class TestChunkPlan:
