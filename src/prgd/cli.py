@@ -23,7 +23,9 @@ import numpy as np
 
 from . import accountant, validation
 from .accountant import PrivacySpec
+from .geometry import _row_norms
 from .optimizer import DivergenceError, RunConfig, builtin_losses, prgd_run, synthesize_dataset
+from .special import _check_count
 
 _TV_DIMS = (1, 2, 3, 5, 11, 21)
 _TV_DISTANCES = (0.2, 0.6, 1.0, 1.4, 1.8)
@@ -183,6 +185,10 @@ def cmd_run(args: argparse.Namespace) -> int:
             run_spec[field] = _number(getattr(args, field), kind, f"run.{field}")
 
     model = builtin_losses()[config["loss"]](data_spec["feature_dim"])
+    try:
+        run_config = RunConfig(**run_spec)
+    except ValueError as exc:
+        raise ConfigError(f"run: {exc}") from None
     for what, elements in (
         ("data.n * data.feature_dim", data_spec["n"] * data_spec["feature_dim"]),
         ("(run.steps + 1) * parameter_dim", (run_spec["steps"] + 1) * model.parameter_dim),
@@ -190,10 +196,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         if elements > _MAX_ARRAY_ELEMENTS:
             raise ConfigError(f"{what} = {elements} exceeds the limit of {_MAX_ARRAY_ELEMENTS} elements")
     data = synthesize_dataset(**data_spec)
-    try:
-        run_config = RunConfig(**run_spec)
-    except ValueError as exc:
-        raise ConfigError(f"run: {exc}") from None
 
     trace = prgd_run(data, model, run_config, config["initial_w"], config.get("sensitivity"))
 
@@ -202,7 +204,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         for line in trace.serialize_lines():
             out.write(f"{line}\n")
 
-    displacement = float(np.linalg.norm(trace.final_iterate - trace.iterates[0]))
+    displacement = float(_row_norms(trace.final_iterate - trace.iterates[0]))
     print(f"trace = {trace_path}")
     print(f"final_loss = {_fmt(trace.final_loss)}")
     print(f"displacement = {_fmt(displacement)}")
@@ -267,9 +269,11 @@ _SUITES = {
 
 def cmd_validate(args: argparse.Namespace) -> int:
     names = list(_SUITES) if args.suite == "all" else [args.suite]
+    # checked once for every suite, also those that ignore them
+    samples, seed = _check_count("samples", args.samples), _check_count("seed", args.seed, 0)
     all_pass = True
     for name in names:
-        for label, analytic, estimate, err, passed in _SUITES[name](args.samples, args.seed):
+        for label, analytic, estimate, err, passed in _SUITES[name](samples, seed):
             print(
                 f"{name} {label} analytic={_fmt(analytic)} estimate={_fmt(estimate)} "
                 f"err={_fmt(err)} {'PASS' if passed else 'FAIL'}"

@@ -75,7 +75,8 @@ def overlap_volume(spec: BallSpec, delta_x: float) -> float:
 
 
 def _squared_row_norms(v: np.ndarray) -> np.ndarray:
-    """Squared Euclidean norm of each row of a (size, d) array.
+    """Squared Euclidean norm along the last axis, shape v.shape[:-1]; a
+    1-D row gives a scalar. Every norm in the library comes from here.
 
     One np.vecdot per block of at most _NORM_BLOCK columns, and the block
     sums added pairwise. A single vecdot is OpenBLAS's ddot, which past 10⁴
@@ -86,19 +87,19 @@ def _squared_row_norms(v: np.ndarray) -> np.ndarray:
     for d from 2 to 21. einsum("ij,ij->i") is faster still at small d, but
     was 1.4e-14 relative off at d = 10⁶.
     """
-    d = v.shape[1]
+    d = v.shape[-1]
     if d <= _NORM_BLOCK:
         return np.vecdot(v, v)
     full = d - d % _NORM_BLOCK
-    blocks = v[:, :full].reshape(len(v), full // _NORM_BLOCK, _NORM_BLOCK)
-    squares = np.add.reduce(np.vecdot(blocks, blocks), axis=1)
-    squares += np.vecdot(v[:, full:], v[:, full:])
+    blocks = v[..., :full].reshape(*v.shape[:-1], full // _NORM_BLOCK, _NORM_BLOCK)
+    squares = np.add.reduce(np.vecdot(blocks, blocks), axis=-1)
+    squares += np.vecdot(v[..., full:], v[..., full:])
     return squares
 
 
 def _row_norms(v: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row of a (size, d) array; up to d = _NORM_BLOCK
-    each value is np.linalg.norm(row) to the last bit."""
+    """Euclidean norm along the last axis; up to d = _NORM_BLOCK each value
+    is np.linalg.norm(row) to the last bit."""
     return np.sqrt(_squared_row_norms(v))
 
 

@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .accountant import DeltaReport, PrivacySpec, overall_delta
-from .geometry import BallSpec, _row_norms, sample_ball
+from .geometry import BallSpec, _row_norms, _squared_row_norms, sample_ball
 from .rng import derive_rng
 from .special import _check_count
 
@@ -221,7 +221,7 @@ def prgd_run(
         for t, idx in enumerate(data_indices):
             grad = model.gradient(w, data.features[idx:idx + 1], data.labels[idx:idx + 1])[0]
             if config.clip_norm is not None:
-                norm = float(np.linalg.norm(grad))
+                norm = float(_row_norms(grad))
                 if norm > config.clip_norm:
                     # factor backs off 1e-15 so the recomputed norm stays <= clip_norm;
                     # an inf norm makes the factor 0 and the row nan
@@ -313,7 +313,7 @@ def estimate_sensitivity(
         finite = np.isfinite(tables).all(axis=(1, 2))
         if not finite.all():
             raise DivergenceError(int(ks[finite.argmin()]), "gradient")
-        squared_radii = _squared_norms(tables - tables.sum(axis=1, keepdims=True) / n)
+        squared_radii = _squared_row_norms(tables - tables.sum(axis=1, keepdims=True) / n)
         # ‖gᵢ − gⱼ‖ ≤ rᵢ + rⱼ around the mean; every skip test carries the
         # relative slack, so rounding can only add pairs, never drop one that wins
         tops = np.sqrt(squared_radii.max(axis=1)) * (1.0 + _SLACK)
@@ -322,18 +322,12 @@ def estimate_sensitivity(
         # each probe's distances from its farthest row are real pair distances,
         # so the running maximum takes them all before any probe is tested
         far = tables[np.arange(len(ks)), squared_radii.argmax(axis=1)]
-        worst = max(worst, math.sqrt(float(_squared_norms(tables - far[:, np.newaxis]).max())))
+        worst = max(worst, math.sqrt(float(_squared_row_norms(tables - far[:, np.newaxis]).max())))
         for j, top in enumerate(tops.tolist()):
             if 2.0 * top > worst:
                 radii = np.sqrt(squared_radii[j]) * (1.0 + _SLACK)
                 worst = _sweep(tables[j], radii, top, worst)
     return worst
-
-
-def _squared_norms(rows: np.ndarray) -> np.ndarray:
-    """Squared norm of every row of a block of tables, shape (B, N) for
-    (B, N, p). Passed as a temporary, the rows are freed before the sweep."""
-    return np.einsum("bij,bij->bi", rows, rows)
 
 
 def _sweep(rows: np.ndarray, radii: np.ndarray, top: float, best: float) -> float:
@@ -347,7 +341,7 @@ def _sweep(rows: np.ndarray, radii: np.ndarray, top: float, best: float) -> floa
     # centring on one row keeps ‖a‖² + ‖b‖² − 2a·b from cancelling away a
     # small gap between large rows, and keeps duplicate rows exactly 0 apart
     rows = rows[candidates] - rows[0]
-    sq = np.einsum("ij,ij->i", rows, rows)
+    sq = _squared_row_norms(rows)
     count = len(rows)
     start = 0
     # sorted by radius, row i reaches at most 2rᵢ over the rows j ≥ i
@@ -422,13 +416,13 @@ def rank1_factorization(feature_dim: int) -> LossModel:
     def value(w, features, labels):
         xw = _inner(w, features)[..., 0]
         xx = np.einsum("ij,ij->i", features, features)
-        # vecdot is w @ w to the last bit, one point at a time
-        ww = np.vecdot(w, w)[..., np.newaxis]
+        # w @ w to the last bit, one point at a time, up to p = 2¹³
+        ww = _squared_row_norms(w)[..., np.newaxis]
         return labels * labels * xx * xx - 2.0 * labels * xw * xw + ww * ww
 
     def gradient(w, features, labels):
         xw = _inner(w, features)
-        ww = np.vecdot(w, w)[..., np.newaxis, np.newaxis]
+        ww = _squared_row_norms(w)[..., np.newaxis, np.newaxis]
         return 4.0 * (ww * w[..., np.newaxis, :] - labels[:, np.newaxis] * xw * features)
 
     return LossModel("rank1_factorization", feature_dim, value, gradient)

@@ -475,6 +475,18 @@ class TestRun:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert ".".join(path) in err
 
+    def test_bad_run_field_is_rejected_before_the_data_is_drawn(self, tmp_path, capsys, monkeypatch):
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("the dataset was drawn for a run that cannot start")
+
+        monkeypatch.setattr(cli, "synthesize_dataset", no_allocation)
+        config_path = tmp_path / "cfg.json"
+        write_config(config_path, run={"step_size": -1, "steps": 200, "noise_radius": 1.0, "seed": 5})
+        code, out, err = run_cli(["run", str(config_path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: run: step_size must be positive, got -1.0\n"
+
     def test_integral_float_is_an_integer(self, tmp_path, capsys):
         config_path = tmp_path / "cfg.json"
         write_config(config_path, run={"step_size": 0.01, "steps": 7.0, "noise_radius": 1.0, "seed": 5})
@@ -547,6 +559,18 @@ class TestValidateCommand:
         assert code == 2
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    @pytest.mark.parametrize("suite, flag, value", [
+        ("overlap", "--seed", "-1"),
+        ("overlap", "--samples", "0"),
+        ("gradcheck", "--seed", "-1"),
+    ])
+    def test_seed_and_samples_are_checked_for_every_suite(self, capsys, suite, flag, value):
+        """Also for the suites that draw nothing or seed their own generator."""
+        code, out, err = run_cli(["validate", "--suite", suite, flag, value], capsys)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: {flag[2:]} must be")
 
     def test_failure_exits_one(self, capsys, monkeypatch):
         monkeypatch.setitem(

@@ -2,15 +2,19 @@
 benchmark losses and their saddle structure, and sensitivity estimation."""
 
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import prgd
 from prgd import optimizer
 from prgd.accountant import PrivacySpec, overall_delta
-from prgd.geometry import BallSpec, sample_ball
+from prgd.geometry import BallSpec, _squared_row_norms, sample_ball
 from prgd.optimizer import (
     Dataset,
     DivergenceError,
@@ -526,6 +530,48 @@ class TestPrgdRun:
         monkeypatch.undo()
         trace = prgd_run(self.data, self.model, RunConfig(0.1, 2), np.zeros(2), sensitivity=0.0)
         assert (trace.sensitivity, trace.report.sensitivity_provenance) == (0.0, "given")
+
+    def test_clipped_run_does_not_follow_the_blas_thread_count(self):
+        """The clip's norm comes from the blocked row-norm kernel, so a
+        clipped run past 10⁴ parameters gives the same iterates at one and at
+        two BLAS threads. The loss reduces with np.sum, which uses no BLAS."""
+        script = (
+            "import hashlib, numpy as np; "
+            "from prgd.optimizer import LossModel, RunConfig, prgd_run, synthesize_dataset; "
+            "p = 10**5 + 3; "
+            "model = LossModel('offset', p, "
+            "lambda w, x, y: 0.5 * ((w[..., np.newaxis, :] - x) ** 2).sum(-1), "
+            "lambda w, x, y: w[..., np.newaxis, :] - x); "
+            "config = RunConfig(step_size=0.1, steps=6, noise_radius=1.0, clip_norm=1.0, seed=4); "
+            "trace = prgd_run(synthesize_dataset(4, p, 0.0, 8), model, config, np.zeros(p)); "
+            "print(hashlib.sha256(trace.iterates.tobytes()).hexdigest())"
+        )
+        src = str(Path(prgd.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        digests = [
+            subprocess.run(
+                [sys.executable, "-c", script],
+                capture_output=True,
+                text=True,
+                check=True,
+                env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads},
+            ).stdout
+            for threads in ("1", "2")
+        ]
+        assert digests[0] and digests[0] == digests[1]
+
+
+class TestRowNorms:
+    @pytest.mark.parametrize("d", [8192, 8193, 2 * 8192 + 1])
+    def test_leading_axes_are_rows(self, d):
+        """Any leading shape, and a single 1-D row, gives the bits of the
+        2-D call on the same rows, on both sides of the 2¹³-column block."""
+        v = derive_rng(12, d).standard_normal((2, 3, d))
+        rows = _squared_row_norms(v.reshape(6, d))
+        np.testing.assert_array_equal(_squared_row_norms(v), rows.reshape(2, 3))
+        for k, row in enumerate(v.reshape(6, d)):
+            assert np.ndim(_squared_row_norms(row)) == 0
+            assert _squared_row_norms(row) == rows[k]
 
 
 class TestSerialization:

@@ -322,6 +322,19 @@ class TestGradCheck:
         )
         assert grad_check(constant, np.ones(2), (np.ones(2), 0.0), 1e-4) == 0.0
 
+    @pytest.mark.parametrize("where", ["value", "gradient"])
+    def test_a_nan_loss_fails(self, where):
+        """A NaN value or gradient gives a NaN deviation, which no tolerance
+        passes; taking the worst case with max() would have kept 0."""
+        model = least_squares(2)
+        functions = {"value": model.value, "gradient": model.gradient}
+        exact = functions[where]
+        functions[where] = lambda w, features, labels: np.full_like(exact(w, features, labels), np.nan)
+        broken = LossModel("nan", 2, functions["value"], functions["gradient"])
+        deviation = grad_check(broken, np.ones(2), (np.ones(2), 0.5), 1e-6)
+        assert math.isnan(deviation)
+        assert not deviation <= 1e-5
+
     def test_rejects_bad_step(self):
         model = least_squares(1)
         for step in (0.0, -1e-6, 1e-2):
