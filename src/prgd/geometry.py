@@ -16,7 +16,7 @@ from .special import _check_count, reg_inc_beta
 # measured draws were within 4.4e-16 relative of their target for d from 1 to
 # 10⁸ (2.2e-16 at d = 10⁸), which leaves at least 9.5e-15 of the margin.
 _RADIAL_BACKOFF = 1.0 - 1e-14
-_NORM_BLOCK = 1 << 13  # columns per vecdot in a row norm; OpenBLAS keeps one thread up to 10⁴
+_NORM_BLOCK = 1 << 13  # columns per vecdot in a row dot; OpenBLAS keeps one thread up to 10⁴
 
 
 @dataclass(frozen=True)
@@ -74,27 +74,39 @@ def overlap_volume(spec: BallSpec, delta_x: float) -> float:
     return 2.0 * cap_volume(spec, delta_x / (2.0 * spec.radius))
 
 
-def _squared_row_norms(v: np.ndarray) -> np.ndarray:
-    """Squared Euclidean norm along the last axis, shape v.shape[:-1]; a
-    1-D row gives a scalar. Every norm in the library comes from here.
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Σ a·b along the last axis, the leading axes broadcast against each
+    other; two 1-D rows give a scalar. Every norm and every inner product in
+    the library comes from here, except the Gram block of the sensitivity
+    sweep.
 
     One np.vecdot per block of at most _NORM_BLOCK columns, and the block
     sums added pairwise. A single vecdot is OpenBLAS's ddot, which past 10⁴
     columns splits over the BLAS threads, so its last bits would follow the
-    thread count, and with one thread it sums in long runs: 8.7e-15 relative
-    off at d = 10⁸, near all of _RADIAL_BACKOFF. At d ≤ _NORM_BLOCK this is
-    that single vecdot, 3 to 4 times faster than norm(v, axis=1) at 2¹⁸ rows
-    for d from 2 to 21. einsum("ij,ij->i") is faster still at small d, but
-    was 1.4e-14 relative off at d = 10⁶.
+    thread count, and with one thread it sums in long runs: a squared norm
+    was 8.7e-15 relative off at d = 10⁸, near all of _RADIAL_BACKOFF. Each
+    pair of rows is summed alone, so a row's bits do not depend on how many
+    rows share the call. At d ≤ _NORM_BLOCK this is that single vecdot, 3 to
+    4 times faster than norm(v, axis=1) at 2¹⁸ rows for d from 2 to 21.
+    einsum("ij,ij->i") is faster still at small d, but was 1.4e-14 relative
+    off at d = 10⁶, and a matrix product over many rows rounds differently
+    from the same product over one.
     """
-    d = v.shape[-1]
+    d = a.shape[-1]
     if d <= _NORM_BLOCK:
-        return np.vecdot(v, v)
+        return np.vecdot(a, b)
     full = d - d % _NORM_BLOCK
-    blocks = v[..., :full].reshape(*v.shape[:-1], full // _NORM_BLOCK, _NORM_BLOCK)
-    squares = np.add.reduce(np.vecdot(blocks, blocks), axis=-1)
-    squares += np.vecdot(v[..., full:], v[..., full:])
-    return squares
+    a_blocks, b_blocks = (
+        v[..., :full].reshape(*v.shape[:-1], full // _NORM_BLOCK, _NORM_BLOCK) for v in (a, b)
+    )
+    sums = np.add.reduce(np.vecdot(a_blocks, b_blocks), axis=-1)
+    sums += np.vecdot(a[..., full:], b[..., full:])
+    return sums
+
+
+def _squared_row_norms(v: np.ndarray) -> np.ndarray:
+    """Squared Euclidean norm along the last axis; a 1-D row gives a scalar."""
+    return _row_dots(v, v)
 
 
 def _row_norms(v: np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .accountant import DeltaReport, PrivacySpec, overall_delta
-from .geometry import BallSpec, _row_norms, _squared_row_norms, sample_ball
+from .geometry import BallSpec, _row_dots, _row_norms, _squared_row_norms, sample_ball
 from .rng import derive_rng
 from .special import _check_count
 
@@ -77,7 +77,11 @@ class LossModel:
     ``gradient(w, features, labels)`` shape (..., k, parameter_dim): each
     leading index of w is one point, evaluated on all k records. A 1-D w
     gives shapes (k,) and (k, parameter_dim). Evaluating a stack of points
-    must give, row for row, the values of evaluating each point alone.
+    must give, row for row, the values of evaluating each point alone. The
+    built-in losses also hold this along the records axis: a record
+    evaluated alone gives, to the last bit, its row of the call on all k
+    records, because their inner products come from the row kernel
+    geometry._row_dots, which sums each pair of rows alone.
 
     The loop calls ``gradient`` at one point on one-row slices; the recorded
     losses and the sensitivity scan call them on blocks of points over the
@@ -172,6 +176,18 @@ class RunTrace:
             del values  # freed before the next block's rows are built
 
 
+def _check_points(name: str, points: Sequence, model: LossModel, ndim: int) -> np.ndarray:
+    """``points`` as a C-ordered float array of ``ndim`` (1 or 2) axes whose
+    last is model.parameter_dim long; a one-line ValueError naming ``name``
+    otherwise. A strided row would take another summation path in vecdot."""
+    points = np.asarray(points, dtype=float, order="C")
+    p = model.parameter_dim
+    if points.ndim != ndim or points.shape[-1] != p:
+        expected = f"({p},)" if ndim == 1 else f"(k, {p})"
+        raise ValueError(f"{name} has shape {points.shape}, expected {expected}")
+    return points
+
+
 def prgd_run(
     data: Dataset,
     model: LossModel,
@@ -200,9 +216,7 @@ def prgd_run(
     step t counts before its loss). A diverging run therefore finishes its T
     steps in inf/nan before it raises.
     """
-    w = np.array(initial_w, dtype=float)
-    if w.shape != (model.parameter_dim,):
-        raise ValueError(f"initial_w has shape {w.shape}, expected ({model.parameter_dim},)")
+    w = _check_points("initial_w", initial_w, model, 1)
     if sensitivity is not None and not sensitivity >= 0.0:  # false for nan
         raise ValueError(f"sensitivity must be nonnegative, got {sensitivity}")
     n = len(data)
@@ -294,9 +308,9 @@ def estimate_sensitivity(
     table is not finite.
     """
     # an array of iterates (up to the 10⁸-element size bound) is read in place
-    probes = np.asarray(w_list if isinstance(w_list, np.ndarray) else list(w_list), dtype=float)
-    if probes.ndim != 2 or probes.size == 0:
-        raise ValueError("need at least one probe point, each a parameter vector")
+    probes = _check_points("w_list", w_list if isinstance(w_list, np.ndarray) else list(w_list), model, 2)
+    if len(probes) == 0:
+        raise ValueError("need at least one probe point")
     n = len(data)
     block = max(1, _TABLE_ENTRIES // (n * probes.shape[1]))
     worst = 0.0
@@ -356,14 +370,6 @@ def _sweep(rows: np.ndarray, radii: np.ndarray, top: float, best: float) -> floa
     return best
 
 
-def _inner(w: np.ndarray, features: np.ndarray) -> np.ndarray:
-    """x·w for every point and every record: shape (..., k, 1) for w of shape
-    (..., p). Each point's (k, p) @ (p, 1) product is ``features @ w`` at
-    that point to the last bit; einsum or one (B, p) @ (p, k) product for
-    all points rounds differently, and would change the recorded losses."""
-    return features @ w[..., np.newaxis]
-
-
 def least_squares(feature_dim: int) -> LossModel:
     """Squared error of a linear predictor: ℓ(w; x, y) = (y − w·x)².
 
@@ -373,11 +379,12 @@ def least_squares(feature_dim: int) -> LossModel:
     feature_dim = _check_count("feature_dim", feature_dim)
 
     def value(w, features, labels):
-        r = labels - _inner(w, features)[..., 0]
+        r = labels - _row_dots(features, w[..., np.newaxis, :])
         return r * r
 
     def gradient(w, features, labels):
-        return -2.0 * (labels[:, np.newaxis] - _inner(w, features)) * features
+        r = labels - _row_dots(features, w[..., np.newaxis, :])
+        return -2.0 * r[..., np.newaxis] * features
 
     return LossModel("least_squares", feature_dim, value, gradient)
 
@@ -414,14 +421,14 @@ def rank1_factorization(feature_dim: int) -> LossModel:
     feature_dim = _check_count("feature_dim", feature_dim)
 
     def value(w, features, labels):
-        xw = _inner(w, features)[..., 0]
-        xx = np.einsum("ij,ij->i", features, features)
+        xw = _row_dots(features, w[..., np.newaxis, :])
+        xx = _squared_row_norms(features)
         # w @ w to the last bit, one point at a time, up to p = 2¹³
         ww = _squared_row_norms(w)[..., np.newaxis]
         return labels * labels * xx * xx - 2.0 * labels * xw * xw + ww * ww
 
     def gradient(w, features, labels):
-        xw = _inner(w, features)
+        xw = _row_dots(features, w[..., np.newaxis, :])[..., np.newaxis]
         ww = _squared_row_norms(w)[..., np.newaxis, np.newaxis]
         return 4.0 * (ww * w[..., np.newaxis, :] - labels[:, np.newaxis] * xw * features)
 

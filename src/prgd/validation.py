@@ -33,7 +33,7 @@ from .geometry import (
     sample_ball,
     sample_sphere_surface,
 )
-from .optimizer import LossModel
+from .optimizer import LossModel, _check_points
 from .rng import derive_rng
 from .special import _check_count
 
@@ -183,9 +183,9 @@ def grad_check(
     if not 0.0 < step <= 1e-3:
         raise ValueError(f"step must lie in (0, 1e-3], got {step}")
     x, y = record
+    w = _check_points("w", w, model, 1)
     features = np.asarray(x, dtype=float)[np.newaxis, :]
     labels = np.array([y], dtype=float)
-    w = np.asarray(w, dtype=float)
     grad = np.asarray(model.gradient(w, features, labels), dtype=float)[0]
     offsets = step * np.eye(w.size)
     fd = (

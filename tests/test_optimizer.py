@@ -182,21 +182,22 @@ class TestBuiltinLosses:
                       - model.value(w - step, data.features, data.labels)) / (2.0 * h)
                 np.testing.assert_allclose(grads[:, k], fd, rtol=1e-6, atol=1e-6)
 
-    # one-point reference forms (x @ w, w @ w); the built-ins must match them
-    # to the last bit, or the loop's one-row steps and the traces would change
+    # one-point reference forms (vecdot(x, w), vecdot(x, x), w @ w); the
+    # built-ins must match them to the last bit, or the loop's one-row steps
+    # and the traces would change
     ONE_POINT = {
         "least_squares": (
-            lambda w, x, y: (y - x @ w) * (y - x @ w),
-            lambda w, x, y: -2.0 * (y - x @ w)[:, np.newaxis] * x,
+            lambda w, x, y: (y - np.vecdot(x, w)) * (y - np.vecdot(x, w)),
+            lambda w, x, y: -2.0 * (y - np.vecdot(x, w))[:, np.newaxis] * x,
         ),
         "scalar_factorization": (
             lambda w, x, y: (y - w[0] * w[1] * x[:, 0]) * (y - w[0] * w[1] * x[:, 0]),
             lambda w, x, y: (-2.0 * (y - w[0] * w[1] * x[:, 0]))[:, np.newaxis] * w[::-1] * x,
         ),
         "rank1_factorization": (
-            lambda w, x, y: (y * y * np.einsum("ij,ij->i", x, x) * np.einsum("ij,ij->i", x, x)
-                             - 2.0 * y * (x @ w) * (x @ w) + (w @ w) * (w @ w)),
-            lambda w, x, y: 4.0 * ((w @ w) * w[np.newaxis, :] - (y * (x @ w))[:, np.newaxis] * x),
+            lambda w, x, y: (y * y * np.vecdot(x, x) * np.vecdot(x, x)
+                             - 2.0 * y * np.vecdot(x, w) * np.vecdot(x, w) + (w @ w) * (w @ w)),
+            lambda w, x, y: 4.0 * ((w @ w) * w[np.newaxis, :] - (y * np.vecdot(x, w))[:, np.newaxis] * x),
         ),
     }
 
@@ -245,6 +246,26 @@ class TestBuiltinLosses:
                                       values[: grid.shape[0] * grid.shape[1]])
         np.testing.assert_array_equal(model.gradient(grid, features, labels).reshape(-1, n, p),
                                       gradients[: grid.shape[0] * grid.shape[1]])
+
+    @pytest.mark.parametrize("p", [2, 16, 8193])
+    @pytest.mark.parametrize("name", ["least_squares", "rank1_factorization"])
+    def test_a_record_alone_is_its_row_of_the_table(self, name, p):
+        """The loop's one-record gradient is, to the last bit, the record's
+        row of the full-data table that the scan and the loss pass take, on
+        both sides of the 2¹³-column block."""
+        rng = derive_rng(30, p)
+        model = builtin_losses()[name](p)
+        features = rng.standard_normal((300, p))
+        labels = rng.standard_normal(300)
+        w = rng.standard_normal(p)
+        values = model.value(w, features, labels)
+        gradients = model.gradient(w, features, labels)
+        for i in range(300):
+            rows = slice(i, i + 1)
+            assert model.value(w, features[rows], labels[rows])[0] == values[i]
+            np.testing.assert_array_equal(
+                model.gradient(w, features[rows], labels[rows])[0], gradients[i], strict=True
+            )
 
 
 class TestRunConfig:
@@ -517,6 +538,17 @@ class TestPrgdRun:
         with pytest.raises(ValueError):
             prgd_run(self.data, self.model, config, np.zeros(3))
 
+    def test_a_strided_initial_w_runs_as_its_copy(self):
+        """vecdot sums a strided row on another path, so the run takes a
+        C-ordered copy of initial_w."""
+        data = synthesize_dataset(30, 50, 0.1, 2)
+        config = RunConfig(step_size=1e-3, steps=20, seed=1)
+        strided = derive_rng(6).standard_normal((50, 2))[:, 0]
+        a = prgd_run(data, least_squares(50), config, strided)
+        b = prgd_run(data, least_squares(50), config, strided.copy())
+        np.testing.assert_array_equal(a.gradients, b.gradients, strict=True)
+        np.testing.assert_array_equal(a.iterates, b.iterates, strict=True)
+
     @pytest.mark.parametrize("sensitivity", [-1.0, math.nan, -math.inf])
     def test_rejects_a_bad_sensitivity_before_drawing(self, monkeypatch, sensitivity):
         def refuse(*args):
@@ -531,18 +563,24 @@ class TestPrgdRun:
         trace = prgd_run(self.data, self.model, RunConfig(0.1, 2), np.zeros(2), sensitivity=0.0)
         assert (trace.sensitivity, trace.report.sensitivity_provenance) == (0.0, "given")
 
-    def test_clipped_run_does_not_follow_the_blas_thread_count(self):
-        """The clip's norm comes from the blocked row-norm kernel, so a
-        clipped run past 10⁴ parameters gives the same iterates at one and at
-        two BLAS threads. The loss reduces with np.sum, which uses no BLAS."""
+    @pytest.mark.parametrize("loss", [
+        # clipped, with a loss that reduces with np.sum, which uses no BLAS
+        "LossModel('offset', p, lambda w, x, y: 0.5 * ((w[..., np.newaxis, :] - x) ** 2).sum(-1), "
+        "lambda w, x, y: w[..., np.newaxis, :] - x), RunConfig(0.1, 6, 1.0, 1.0, 4)",
+        # unclipped, with the built-ins' x·w on one record every step
+        "least_squares(p), RunConfig(1e-6, 6, 1.0, None, 4)",
+        "rank1_factorization(p), RunConfig(1e-8, 6, 1.0, None, 4)",
+    ], ids=["offset", "least_squares", "rank1_factorization"])
+    def test_clipped_run_does_not_follow_the_blas_thread_count(self, loss):
+        """The clip's norm and the built-in losses' inner products come from
+        the blocked row kernel, so a run past 10⁴ parameters gives the same
+        iterates at one and at two BLAS threads."""
         script = (
             "import hashlib, numpy as np; "
-            "from prgd.optimizer import LossModel, RunConfig, prgd_run, synthesize_dataset; "
+            "from prgd.optimizer import (LossModel, RunConfig, least_squares, prgd_run, "
+            "rank1_factorization, synthesize_dataset); "
             "p = 10**5 + 3; "
-            "model = LossModel('offset', p, "
-            "lambda w, x, y: 0.5 * ((w[..., np.newaxis, :] - x) ** 2).sum(-1), "
-            "lambda w, x, y: w[..., np.newaxis, :] - x); "
-            "config = RunConfig(step_size=0.1, steps=6, noise_radius=1.0, clip_norm=1.0, seed=4); "
+            f"model, config = {loss}; "
             "trace = prgd_run(synthesize_dataset(4, p, 0.0, 8), model, config, np.zeros(p)); "
             "print(hashlib.sha256(trace.iterates.tobytes()).hexdigest())"
         )
@@ -647,6 +685,20 @@ class TestEstimateSensitivity:
         data = Dataset([[1.0]], [2.0])
         with pytest.raises(ValueError):
             estimate_sensitivity(data, least_squares(1), [])
+
+    @pytest.mark.parametrize("probe", [[1.0], [1.0, 2.0, 3.0]], ids=["narrow", "wide"])
+    def test_rejects_a_probe_of_the_wrong_width(self, probe):
+        """A probe whose width is not parameter_dim is refused before any
+        gradient is taken; a 3-wide probe on the scalar factorization once
+        gave a sensitivity."""
+        def refuse(*args):
+            raise AssertionError("a gradient was taken at a probe of the wrong width")
+
+        model = scalar_factorization(1)
+        unused = LossModel(model.name, 2, model.value, refuse)
+        data = synthesize_dataset(2, 1, 0.0, 0)
+        with pytest.raises(ValueError, match=rf"^w_list has shape \(1, {len(probe)}\), expected \(k, 2\)$"):
+            estimate_sensitivity(data, unused, [probe])
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("shape", [

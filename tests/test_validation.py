@@ -335,6 +335,19 @@ class TestGradCheck:
         assert math.isnan(deviation)
         assert not deviation <= 1e-5
 
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_rejects_a_w_of_the_wrong_width(self, width):
+        """A w whose width is not parameter_dim is refused before any
+        gradient is taken; a 3-wide w once passed and a 1-wide one raised
+        IndexError."""
+        def refuse(*args):
+            raise AssertionError("a gradient was taken at a w of the wrong width")
+
+        model = scalar_factorization(1)
+        unused = LossModel(model.name, 2, model.value, refuse)
+        with pytest.raises(ValueError, match=rf"^w has shape \({width},\), expected \(2,\)$"):
+            grad_check(unused, np.ones(width), (np.ones(1), 1.0), 1e-6)
+
     def test_rejects_bad_step(self):
         model = least_squares(1)
         for step in (0.0, -1e-6, 1e-2):
