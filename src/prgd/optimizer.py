@@ -38,24 +38,32 @@ class DivergenceError(RuntimeError):
         self.step = step
 
 
+def _float_array(name: str, values, ndim: int, length: int | None = None) -> np.ndarray:
+    """``values`` as a C-ordered float64 array of ``ndim`` (1 or 2) axes, the last ``length``
+    long when given and a 2-D one with at least one row, else a one-line ValueError naming
+    ``name``. A strided or Fortran-ordered row would take another summation path in vecdot."""
+    array = np.asarray(values, dtype=float, order="C")
+    if array.ndim != ndim or length not in (None, array.shape[-1]) or 0 in array.shape[:-1]:
+        last = "m" if length is None else length
+        expected = f"({last},)" if ndim == 1 else f"(k, {last})"
+        raise ValueError(f"{name} has shape {array.shape}, expected {expected}")
+    return array
+
+
 @dataclass(frozen=True)
 class Dataset:
-    """N records (xᵢ, yᵢ): features of shape (n, feature_dim), labels (n,)."""
+    """N records (xᵢ, yᵢ): finite float64 features (n, feature_dim) and labels (n,), C-ordered."""
 
     features: np.ndarray
     labels: np.ndarray
 
     def __post_init__(self) -> None:
-        features = np.asarray(self.features, dtype=float)
-        labels = np.asarray(self.labels, dtype=float)
-        if features.ndim != 2:
-            raise ValueError(f"features must be 2-D (n, feature_dim), got shape {features.shape}")
-        if labels.ndim != 1 or labels.shape[0] != features.shape[0]:
-            raise ValueError(
-                f"labels must be 1-D with one entry per record, got shape {labels.shape}"
-            )
-        if features.shape[0] == 0:
-            raise ValueError("a dataset needs at least one record")
+        features = _float_array("features", self.features, 2)
+        labels = _float_array("labels", self.labels, 1, len(features))
+        for name, values in (("features", features), ("labels", labels)):
+            # no N·f temporary: min and max carry a nan through; initial=0.0 admits 0 columns
+            if not np.isfinite([values.min(initial=0.0), values.max(initial=0.0)]).all():
+                raise ValueError(f"{name} must be finite")
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "labels", labels)
 
@@ -176,18 +184,6 @@ class RunTrace:
             del values  # freed before the next block's rows are built
 
 
-def _check_points(name: str, points: Sequence, model: LossModel, ndim: int) -> np.ndarray:
-    """``points`` as a C-ordered float array of ``ndim`` (1 or 2) axes whose
-    last is model.parameter_dim long; a one-line ValueError naming ``name``
-    otherwise. A strided row would take another summation path in vecdot."""
-    points = np.asarray(points, dtype=float, order="C")
-    p = model.parameter_dim
-    if points.ndim != ndim or points.shape[-1] != p:
-        expected = f"({p},)" if ndim == 1 else f"(k, {p})"
-        raise ValueError(f"{name} has shape {points.shape}, expected {expected}")
-    return points
-
-
 def prgd_run(
     data: Dataset,
     model: LossModel,
@@ -216,7 +212,7 @@ def prgd_run(
     step t counts before its loss). A diverging run therefore finishes its T
     steps in inf/nan before it raises.
     """
-    w = _check_points("initial_w", initial_w, model, 1)
+    w = _float_array("initial_w", initial_w, 1, model.parameter_dim)
     if sensitivity is not None and not sensitivity >= 0.0:  # false for nan
         raise ValueError(f"sensitivity must be nonnegative, got {sensitivity}")
     n = len(data)
@@ -308,9 +304,8 @@ def estimate_sensitivity(
     table is not finite.
     """
     # an array of iterates (up to the 10⁸-element size bound) is read in place
-    probes = _check_points("w_list", w_list if isinstance(w_list, np.ndarray) else list(w_list), model, 2)
-    if len(probes) == 0:
-        raise ValueError("need at least one probe point")
+    listed = w_list if isinstance(w_list, np.ndarray) else list(w_list)
+    probes = _float_array("w_list", listed, 2, model.parameter_dim)
     n = len(data)
     block = max(1, _TABLE_ENTRIES // (n * probes.shape[1]))
     worst = 0.0
@@ -458,5 +453,6 @@ def synthesize_dataset(n: int, feature_dim: int, label_noise: float, seed: int) 
     features = rng.standard_normal((n, feature_dim))
     labels = features.sum(axis=1)
     if label_noise > 0.0:
-        labels = labels + label_noise * rng.standard_normal(n)
+        with np.errstate(over="ignore"):  # Dataset refuses the inf labels with one line
+            labels = labels + label_noise * rng.standard_normal(n)
     return Dataset(features, labels)

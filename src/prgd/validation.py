@@ -33,7 +33,7 @@ from .geometry import (
     sample_ball,
     sample_sphere_surface,
 )
-from .optimizer import LossModel, _check_points
+from .optimizer import _TABLE_ENTRIES, LossModel, _float_array
 from .rng import derive_rng
 from .special import _check_count
 
@@ -174,7 +174,8 @@ def grad_check(
     step: float,
 ) -> float:
     """Componentwise central-difference check of the gradient at one record:
-    the gradient as a one-row batch, the 2p shifted points as two stacks.
+    the gradient as a one-row batch, the 2p shifted points in stacks of at
+    most _TABLE_ENTRIES entries, so memory is O(p) rather than O(p²).
 
     Returns the maximum deviation |fd_k − g_k| / max(1, |g_k|); the unit
     floor keeps the measure finite at stationary points where the exact
@@ -183,15 +184,18 @@ def grad_check(
     if not 0.0 < step <= 1e-3:
         raise ValueError(f"step must lie in (0, 1e-3], got {step}")
     x, y = record
-    w = _check_points("w", w, model, 1)
-    features = np.asarray(x, dtype=float)[np.newaxis, :]
+    w = _float_array("w", w, 1, model.parameter_dim)
+    features = _float_array("x", x, 1)[np.newaxis, :]
     labels = np.array([y], dtype=float)
     grad = np.asarray(model.gradient(w, features, labels), dtype=float)[0]
-    offsets = step * np.eye(w.size)
-    fd = (
-        model.value(w + offsets, features, labels)[:, 0]
-        - model.value(w - offsets, features, labels)[:, 0]
-    ) / (2.0 * step)
+    fd = np.empty(w.size)
+    block = max(1, _TABLE_ENTRIES // (2 * w.size))  # shifted points per stack
+    for start in range(0, w.size, block):
+        # rows start… of step·I; w + offsets makes a −0.0 coordinate +0.0
+        offsets = step * np.eye(min(block, w.size - start), w.size, start)
+        plus = model.value(w + offsets, features, labels)[:, 0]
+        minus = model.value(w - offsets, features, labels)[:, 0]
+        fd[start:start + block] = (plus - minus) / (2.0 * step)
     return float(np.max(np.abs(fd - grad) / np.maximum(1.0, np.abs(grad))))
 
 

@@ -73,8 +73,8 @@ def test_criterion_03_monte_carlo_total_variation():
 
 
 def test_criterion_04_series_matches_continued_fraction():
-    """Finite odd-dimension series agrees with the continued fraction to
-    1e-10 for odd d ≤ 41 over a 50-point grid."""
+    """Finite odd-dimension series agrees with reg_inc_beta, the library's
+    δ, to 1e-10 for odd d ≤ 41 over a 50-point grid."""
     started = time.time()
     worst = 0.0
     for d in range(1, 42, 2):
@@ -83,7 +83,7 @@ def test_criterion_04_series_matches_continued_fraction():
             series = series_delta_odd_d(float(dx), d)
             direct = reg_inc_beta((dx / 2.0) ** 2, *params)
             worst = max(worst, abs(series - direct))
-    check(4, f"odd-d series vs continued fraction (worst {worst:.2e})", worst <= 1e-10, started, 5.0)
+    check(4, f"odd-d series vs reg_inc_beta (worst {worst:.2e})", worst <= 1e-10, started, 5.0)
 
 
 def test_criterion_05_derivative_is_positive_and_matches_finite_differences():

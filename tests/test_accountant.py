@@ -173,8 +173,9 @@ class TestPerStepDelta:
             )
 
     def test_monotone_across_the_switch_for_d_8699(self):
-        """Both continued-fraction branches share the log-beta front factor,
-        whose ~1e-11 error at d ≈ 10⁴ shows as a drop where they meet."""
+        """δ does not drop across z = (a+1)/(a+b+2) at d = 8699, where the
+        deleted continued fraction's two branches met and the ~1e-11 error
+        of their shared log-beta front factor showed as a drop."""
         b = 0.5 * 8700
         s = math.sqrt(1.5 / (b + 2.5))
         below = per_step_delta(PrivacySpec(8699, 2.0 * math.nextafter(s, 0.0), 1, 1))
@@ -182,9 +183,9 @@ class TestPerStepDelta:
         assert above >= below * (1.0 - 1e-12)
 
     def test_matches_mpmath_below_the_branch_switch(self):
-        """Below z = (a+1)/(a+b+2) the direct continued fraction carries δ;
-        with the log-beta front factor free of cancellation it holds 1e-13
-        relative up to d = 10⁸."""
+        """Below z = (a+1)/(a+b+2), where the deleted continued fraction
+        switched branches, δ holds 1e-13 relative to 40-digit mpmath up to
+        d = 10⁸."""
         mpmath = pytest.importorskip("mpmath")
         rng = np.random.default_rng(31)
         dims = [10**8, 48_148_663, *(int(np.exp(rng.uniform(np.log(2.0), np.log(1e8)))) for _ in range(60))]

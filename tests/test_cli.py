@@ -655,6 +655,17 @@ class TestExitCodeContract:
         assert proc.returncode == 1
         assert proc.stderr.decode().splitlines() == ["error: loss became non-finite at iteration 20"]
 
+    def test_overflowing_labels_are_a_usage_error(self, tmp_path):
+        """Labels that label_noise pushes past the double range are bad
+        input, refused by Dataset (exit 2) with no numpy overflow warning,
+        not a run that diverges at iteration 0 (exit 1)."""
+        config_path = tmp_path / "cfg.json"
+        write_config(config_path, data={"n": 40, "feature_dim": 1, "label_noise": 1.7e308, "seed": 11})
+        proc = run_module("run", str(config_path), "--trace", str(tmp_path / "t.trace"))
+        assert proc.returncode == 2
+        assert proc.stderr.decode().splitlines() == ["error: labels must be finite"]
+        assert not (tmp_path / "t.trace").exists()
+
     def test_overflowing_noise_draw_is_one_stderr_line(self, tmp_path):
         """A radius whose ball draw overflows exits 1 with only the error
         line: the draw runs under the loop's errstate, so numpy prints no

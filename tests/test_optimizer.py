@@ -83,6 +83,51 @@ class TestDataset:
         with pytest.raises(ValueError):
             Dataset(np.zeros((0, 2)), np.zeros(0))
 
+    @pytest.mark.parametrize("features,labels,name", [
+        ([[1.0], [1.0]], [np.nan, 1.0], "labels"),
+        ([[1.0], [1.0]], [0.0, -np.inf], "labels"),
+        ([[np.inf], [1.0]], [0.0, 1.0], "features"),
+        ([[1.0, 2.0], [-np.inf, np.nan]], [0.0, 1.0], "features"),
+    ])
+    def test_non_finite_records_are_refused(self, features, labels, name):
+        """A non-finite record is bad input: prgd_run used to take it and
+        raise DivergenceError at iteration 0."""
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            Dataset(features, labels)
+
+    def test_finiteness_check_copies_nothing(self):
+        """The check reads 8 MB of C-ordered features in place: no
+        features-sized array of flags or copy."""
+        features = np.ones((1000, 1000))
+        tracemalloc.start()
+        try:
+            data = Dataset(features, np.zeros(1000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert data.features is features
+        assert peak < 64 * 2**10
+
+    @pytest.mark.parametrize("p", [50, 9000])
+    @pytest.mark.parametrize("make", [least_squares, rank1_factorization], ids=lambda make: make.__name__)
+    def test_memory_order_changes_no_bit_of_a_run(self, make, p):
+        """A Fortran-ordered dataset and a strided view give the C-ordered
+        run's serialized trace and sensitivity byte for byte; vecdot sums a
+        strided row on another path. p = 9000 is past the row kernel's
+        2¹³-column block."""
+        data = synthesize_dataset(30, p, 0.1, 3)
+        config = RunConfig(step_size=1e-3 / p, steps=20, noise_radius=1.0, seed=3)
+
+        def run(features, labels):
+            dataset = Dataset(features, labels)
+            assert dataset.features.flags.c_contiguous and dataset.labels.flags.c_contiguous
+            trace = prgd_run(dataset, make(p), config, np.full(p, 0.1))
+            return list(trace.serialize_lines()), trace.sensitivity.hex()
+
+        expected = run(data.features, data.labels)
+        assert run(np.asfortranarray(data.features), data.labels) == expected
+        assert run(np.repeat(data.features, 2, axis=1)[:, ::2], np.repeat(data.labels, 2)[::2]) == expected
+
 
 class TestBuiltinLosses:
     def test_catalog_contents(self):

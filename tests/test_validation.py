@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 
 from prgd import validation
 from prgd.accountant import PrivacySpec, per_step_delta
-from prgd.optimizer import LossModel, least_squares, scalar_factorization
+from prgd.optimizer import LossModel, least_squares, rank1_factorization, scalar_factorization
 from prgd.validation import (
     MCEstimate,
     WORKERS_ENV,
@@ -334,6 +335,32 @@ class TestGradCheck:
         deviation = grad_check(broken, np.ones(2), (np.ones(2), 0.5), 1e-6)
         assert math.isnan(deviation)
         assert not deviation <= 1e-5
+
+    @pytest.mark.parametrize("make", [least_squares, rank1_factorization], ids=lambda make: make.__name__)
+    def test_memory_is_linear_in_p(self, make):
+        """At p = 2048 the shifted points are taken in blocks, not as two
+        p × p stacks (64 MiB here), and the deviation keeps the bits of the
+        unblocked formula; a −0.0 coordinate still becomes +0.0 in w + offsets."""
+        p, step = 2048, 1e-6
+        rng = np.random.default_rng(4)
+        model = make(p)
+        w, x, y = rng.standard_normal(p), rng.standard_normal(p), float(rng.standard_normal())
+        w[::5] = -0.0
+        tracemalloc.start()
+        try:
+            deviation = grad_check(model, w, (x, y), step)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        features, labels = x[np.newaxis, :], np.array([y])
+        grad = model.gradient(w, features, labels)[0]
+        offsets = step * np.eye(p)
+        fd = (
+            model.value(w + offsets, features, labels)[:, 0]
+            - model.value(w - offsets, features, labels)[:, 0]
+        ) / (2.0 * step)
+        assert deviation.hex() == float(np.max(np.abs(fd - grad) / np.maximum(1.0, np.abs(grad)))).hex()
 
     @pytest.mark.parametrize("width", [1, 3])
     def test_rejects_a_w_of_the_wrong_width(self, width):
