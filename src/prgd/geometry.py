@@ -77,8 +77,8 @@ def overlap_volume(spec: BallSpec, delta_x: float) -> float:
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Σ a·b along the last axis, the leading axes broadcast against each
     other; two 1-D rows give a scalar. Every norm and every inner product in
-    the library comes from here, except the Gram block of the sensitivity
-    sweep.
+    the library comes from here; the sensitivity sweep's Gram block only
+    picks which pairs to measure.
 
     One np.vecdot per block of at most _NORM_BLOCK columns, and the block
     sums added pairwise. A single vecdot is OpenBLAS's ddot, which past 10⁴

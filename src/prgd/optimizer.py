@@ -282,23 +282,22 @@ def estimate_sensitivity(
     over every probe point. This is a measured bound, not a proof; it
     covers only the probed points.
 
-    The value is exact up to rounding in its last bits, but most pairs are
-    never formed. A probe equal to its predecessor is skipped. The others
-    are taken in blocks of at most ``_TABLE_ENTRIES`` gradient entries, one
-    broadcast ``model.gradient`` call per block. One vectorized pass per
-    block finds each probe's distances from its mean gradient (its radii).
-    A block in which every gradient lies within half the running maximum of
-    its probe's mean cannot raise the maximum and is dismissed whole.
-    Otherwise each probe's distances from its farthest row, which are real
-    pair distances, are folded into the running maximum first, and then each
-    probe whose radii still allow a longer pair is swept in order: the
-    triangle inequality through the mean rules out rows too close to it,
-    and the remaining pairs are compared in row blocks of at most
-    ``_BLOCK_ENTRIES`` distances. Memory is O(N·p + _TABLE_ENTRIES +
-    _BLOCK_ENTRIES) for N records and p parameters, never N×N. Time is
-    O(N·p) per probe when pruning works; when no row can be ruled out (every
-    gradient equally far from the mean, as on a sphere) the k surviving rows
-    still cost O(k²·p).
+    The value is exactly the largest row-kernel distance _row_norms(gᵢ − gⱼ)
+    over all probes and pairs, though most pairs are never formed. A probe
+    equal to its predecessor is skipped; the others come in blocks of at
+    most ``_TABLE_ENTRIES`` gradient entries, one broadcast ``model.gradient``
+    call each. One pass per block finds each probe's distances from its mean
+    gradient (its radii); a probe whose gradients all lie within half the
+    running maximum of its mean is dismissed. Each live probe's distances
+    from its farthest row, real pair distances, go into the maximum first.
+    Then one sweep takes the probes still live, far rows left out: the
+    triangle inequality through the mean rules out rows too close to it, a
+    Gram form in row blocks of at most ``_BLOCK_ENTRIES`` distances picks the
+    pairs near the maximum, and the row kernel measures those. Memory is
+    O(N·p + _TABLE_ENTRIES + _BLOCK_ENTRIES) for N records and p parameters,
+    never N×N. Time is O(N·p) per probe when pruning works; when no row can
+    be ruled out (every gradient equally far from the mean, as on a sphere)
+    the k surviving rows still cost O(k²·p).
 
     Raises DivergenceError with the index of the first probe whose gradient
     table is not finite.
@@ -322,45 +321,58 @@ def estimate_sensitivity(
         finite = np.isfinite(tables).all(axis=(1, 2))
         if not finite.all():
             raise DivergenceError(int(ks[finite.argmin()]), "gradient")
-        squared_radii = _squared_row_norms(tables - tables.sum(axis=1, keepdims=True) / n)
-        # ‖gᵢ − gⱼ‖ ≤ rᵢ + rⱼ around the mean; every skip test carries the
-        # relative slack, so rounding can only add pairs, never drop one that wins
+        # ‖gᵢ − gⱼ‖ ≤ rᵢ + rⱼ around the mean; every skip test carries the relative
+        # slack, so the mean's rounding can only add pairs, never drop one that wins
+        squared_radii = _squared_row_norms(tables - np.einsum("bij->bj", tables)[:, np.newaxis] / n)
         tops = np.sqrt(squared_radii.max(axis=1)) * (1.0 + _SLACK)
-        if not (2.0 * tops > worst).any():
+        live = np.flatnonzero(2.0 * tops > worst)
+        if len(live) == 0:
             continue  # the running maximum dismisses the whole block
-        # each probe's distances from its farthest row are real pair distances,
-        # so the running maximum takes them all before any probe is tested
-        far = tables[np.arange(len(ks)), squared_radii.argmax(axis=1)]
-        worst = max(worst, math.sqrt(float(_squared_row_norms(tables - far[:, np.newaxis]).max())))
-        for j, top in enumerate(tops.tolist()):
-            if 2.0 * top > worst:
-                radii = np.sqrt(squared_radii[j]) * (1.0 + _SLACK)
-                worst = _sweep(tables[j], radii, top, worst)
+        # the live probes' distances from their farthest rows are real pair distances
+        far = squared_radii[live].argmax(axis=1)
+        ahead = tables[live]
+        ahead -= tables[live, far][:, np.newaxis]
+        worst = max(worst, math.sqrt(float(_squared_row_norms(ahead).max())))
+        swept = 2.0 * tops[live] > worst
+        if swept.any():
+            live, far = live[swept], far[swept]
+            radii = np.sqrt(squared_radii[live]) * (1.0 + _SLACK)
+            radii[np.arange(len(live)), far] = -np.inf  # its pairs are all in already
+            worst = _sweep(tables, live, radii, tops[live], worst)
     return worst
 
 
-def _sweep(rows: np.ndarray, radii: np.ndarray, top: float, best: float) -> float:
-    """max(best, largest distance between two rows), pairs that cannot
-    exceed ``best`` left unformed; ``radii`` are the rows' slackened
-    distances from their mean and ``top`` the largest of them."""
-    # only a row with rᵢ + R > best can end a longer pair
-    candidates = np.flatnonzero(radii > best - top)
-    candidates = candidates[np.argsort(-radii[candidates], kind="stable")]
-    radii = radii[candidates]
-    # centring on one row keeps ‖a‖² + ‖b‖² − 2a·b from cancelling away a
-    # small gap between large rows, and keeps duplicate rows exactly 0 apart
-    rows = rows[candidates] - rows[0]
+def _sweep(tables: np.ndarray, live: np.ndarray, radii: np.ndarray, tops: np.ndarray, best: float) -> float:
+    """max(best, largest row-kernel distance between two rows of one of the
+    tables ``tables[live]``), pairs that cannot exceed ``best`` left
+    unformed. ``radii`` (L, N) are the rows' slackened distances from their
+    table's mean (−inf for a row left out) and ``tops`` the largest of each."""
+    # only a row with rᵢ + R > best can end a longer pair; each table
+    # gives its m farthest rows, m the most such rows of any table
+    hits = radii > best - tops[:, np.newaxis]
+    m = int(hits.sum(axis=1).max())
+    cols = np.flatnonzero(hits.any(axis=0))  # only these rows are sorted
+    order = cols[np.argsort(-radii[:, cols], axis=1)[:, :m]]
+    radii = radii[np.arange(len(live))[:, np.newaxis], order]
+    picked = tables[live[:, np.newaxis], order]
+    # centred on one row, ‖a‖² + ‖b‖² − 2a·b keeps a small gap between large rows
+    rows = picked - picked[:, :1]
     sq = _squared_row_norms(rows)
-    count = len(rows)
-    start = 0
+    start, step = 0, max(1, _BLOCK_ENTRIES // rows.shape[2])  # step: pairs per row-kernel call
     # sorted by radius, row i reaches at most 2rᵢ over the rows j ≥ i
-    while start < count and 2.0 * radii[start] > best:
-        stop = min(count, start + max(1, _BLOCK_ENTRIES // (count - start)))
-        d2 = rows[start:stop] @ rows[start:].T
+    while start < m and (2.0 * radii[:, start] > best).any():
+        stop = min(m, start + max(1, _BLOCK_ENTRIES // (len(rows) * (m - start))))
+        d2 = rows[:, start:stop] @ rows[:, start:].transpose(0, 2, 1)
         d2 *= -2.0
-        d2 += sq[start:stop, np.newaxis]
-        d2 += sq[start:]
-        best = max(best, math.sqrt(max(float(d2.max()), 0.0)))
+        d2 += sq[:, start:stop, np.newaxis]
+        d2 += sq[:, np.newaxis, start:]
+        # the Gram form only picks; the row kernel measures each pair near the maximum
+        high = float(d2.max())
+        floor = max(best * best, high) * (1.0 - 4.0 * _SLACK)
+        near = np.flatnonzero(d2 >= floor) if high >= floor else []
+        for at in range(0, len(near), step):
+            k, i, j = np.unravel_index(near[at:at + step], d2.shape)
+            best = max(best, float(_row_norms(picked[k, start + i] - picked[k, start + j]).max()))
         start = stop
     return best
 

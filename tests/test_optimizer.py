@@ -14,7 +14,7 @@ import pytest
 import prgd
 from prgd import optimizer
 from prgd.accountant import PrivacySpec, overall_delta
-from prgd.geometry import BallSpec, _squared_row_norms, sample_ball
+from prgd.geometry import BallSpec, _row_norms, _squared_row_norms, sample_ball
 from prgd.optimizer import (
     Dataset,
     DivergenceError,
@@ -54,6 +54,33 @@ def brute_force_diameter(rows):
     """Largest pairwise distance, by direct differences over all pairs."""
     rows = np.asarray(rows, dtype=float)
     return float(np.linalg.norm(rows[:, None] - rows[None], axis=-1).max())
+
+
+def row_kernel_diameter(tables):
+    """Largest row-kernel distance _row_norms(gᵢ − gⱼ) over the pairs of
+    each table of a stack (..., N, p), by direct differences."""
+    tables = np.asarray(tables, dtype=float)
+    tables = tables.reshape(-1, *tables.shape[-2:])
+    return max(float(_row_norms(t[:, np.newaxis] - t[np.newaxis]).max()) for t in tables)
+
+
+SCAN_SHAPES = ["offset_1e6", "cauchy", "duplicated", "collinear", "unit_sphere"]
+
+
+def scan_rows(shape, rng):
+    """3 to 39 gradient rows of 1 to 7 entries, of one of SCAN_SHAPES."""
+    n, p = int(rng.integers(3, 40)), int(rng.integers(1, 8))
+    if shape == "offset_1e6":
+        return 1e6 * rng.standard_normal(p) + rng.standard_normal((n, p))
+    if shape == "cauchy":
+        return rng.standard_cauchy((n, p))
+    if shape == "duplicated":
+        rows = rng.standard_normal((int(rng.integers(1, 5)), p))
+        return rows[rng.integers(0, len(rows), n)]
+    if shape == "collinear":  # the saddle tables: every gradient on one line
+        return np.outer(rng.standard_cauchy(n), rng.standard_normal(p))
+    rows = rng.standard_normal((n, p))  # the unit sphere: nothing prunes
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
 
 
 def numeric_hessian(fn, w, h=1e-5):
@@ -805,13 +832,13 @@ class TestEstimateSensitivity:
         sweep = optimizer._sweep
         sweeps = []
 
-        def counting(rows, radii, top, best):
-            sweeps.append(top)
-            return sweep(rows, radii, top, best)
+        def counting(tables, live, radii, tops, best):
+            sweeps.append(len(live))  # the probes of one stack
+            return sweep(tables, live, radii, tops, best)
 
         monkeypatch.setattr(optimizer, "_sweep", counting)
         got = estimate_sensitivity(data, stretch_loss(4), [np.ones(4), np.full(4, 3.0)])
-        assert len(sweeps) == 1
+        assert sum(sweeps) == 1
         assert got == pytest.approx(brute_force_diameter(features * 3.0), rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("seed", range(3))
@@ -830,6 +857,48 @@ class TestEstimateSensitivity:
         expected = max(brute_force_diameter(features * w) for w in probes)
         got = estimate_sensitivity(data, stretch_loss(2), probes)
         assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("block_entries", [3, 50])
+    @pytest.mark.parametrize("table_entries", [60, 200, 1000])
+    @pytest.mark.parametrize("shape", SCAN_SHAPES)
+    def test_scan_is_the_row_kernel_maximum_exactly(self, monkeypatch, shape, table_entries, block_entries):
+        """Ten single-probe scans and one walk of 40 probes: the scan returns
+        the largest row-kernel pair distance to the last bit, at block sizes
+        that put 1 to 333 probes in a block and 3 or 50 distances in a row
+        block of the sweep."""
+        monkeypatch.setattr(optimizer, "_TABLE_ENTRIES", table_entries)
+        monkeypatch.setattr(optimizer, "_BLOCK_ENTRIES", block_entries)
+        rng = np.random.default_rng([table_entries, block_entries, SCAN_SHAPES.index(shape)])
+        for _ in range(10):
+            rows = scan_rows(shape, rng)
+            data = Dataset(rows, np.zeros(len(rows)))
+            p = rows.shape[1]
+            assert estimate_sensitivity(data, linear_loss(p), [np.zeros(p)]) == row_kernel_diameter(rows)
+        steps = 0.3 * rng.standard_normal((40, p))
+        steps[rng.random(40) < 1 / 3] = 0.0
+        probes = 1.0 + np.cumsum(steps, axis=0)
+        tables = stretch_loss(p).gradient(probes, data.features, data.labels)
+        assert estimate_sensitivity(data, stretch_loss(p), probes) == row_kernel_diameter(tables)
+
+    def test_readme_saddle_run_is_the_row_kernel_maximum(self, monkeypatch):
+        """The README saddle config (run seed 3, T = 2000): the sensitivity is
+        the row-kernel maximum over the 2,001 gradient tables, bit for bit,
+        and at most the README's 148 probes reach the sweep."""
+        sweep = optimizer._sweep
+        swept = []
+
+        def counting(tables, live, radii, tops, best):
+            swept.append(len(live))
+            return sweep(tables, live, radii, tops, best)
+
+        monkeypatch.setattr(optimizer, "_sweep", counting)
+        data = synthesize_dataset(40, 1, 0.0, 11)
+        model = scalar_factorization(1)
+        config = RunConfig(step_size=0.01, steps=2000, noise_radius=1.0, seed=3)
+        trace = prgd_run(data, model, config, np.zeros(2))
+        assert 0 < sum(swept) <= 148
+        tables = model.gradient(trace.iterates, data.features, data.labels)
+        assert trace.sensitivity == row_kernel_diameter(tables)
 
     def test_non_finite_gradient_table_raises(self):
         """At w = 0 the gradient of record 0 overflows to −inf while the loss
